@@ -43,15 +43,11 @@ def build_parser():
     sp = add("verify", "is the candidate a justified revision of init?")
     sp.add_argument("--semantics", choices=(MPT, FITTING, "both"), default=MPT)
 
-    sp = add("revise", "enumerate all justified revisions of init (finite lattices)")
+    sp = add("revise", "enumerate all justified revisions of init")
     sp.add_argument("--semantics", choices=(MPT, FITTING, "both"), default=MPT)
     sp.add_argument("--cap", type=int, default=engine.DEFAULT_ENUMERATION_CAP,
-                    help="abort if the candidate space exceeds this size")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="partition the search across N workers")
-    sp.add_argument("--experimental-closure", action="store_true",
-                    help="on the unit chain, search the finite sublattice of "
-                         "occurring constants (heuristic, not exhaustive)")
+                    help="abort if the change space (the product over atoms of "
+                         "the joins of rule heads) exceeds this size")
 
     sp = add("translate", "translate the program between the two rule syntaxes")
     sp.add_argument("--to", choices=(OLD, NEW), required=True)
@@ -145,9 +141,7 @@ def _cmd_verify(doc, args):
 
 
 def _run_enumeration(doc, init, semantics, args):
-    outcomes = engine.enumerate_revisions(
-        doc.program, init, semantics, cap=args.cap, jobs=args.jobs,
-        experimental_closure=args.experimental_closure)
+    outcomes = engine.enumerate_revisions(doc.program, init, semantics, cap=args.cap)
     stats = {
         "atoms": len(doc.universe),
         "rules": len(doc.program.rules),
@@ -169,14 +163,14 @@ def _print_enumeration(semantics, outcomes):
 def _cmd_revise(doc, args):
     init = _need(doc, "init", "revise")
     if args.semantics == "both":
-        mpt_out, stats = _run_enumeration(doc, init, MPT, args)
-        fit_out, _ = _run_enumeration(doc, init, FITTING, args)
+        mpt_out, mpt_stats = _run_enumeration(doc, init, MPT, args)
+        fit_out, fit_stats = _run_enumeration(doc, init, FITTING, args)
         agree = ([o.candidate for o in mpt_out] == [o.candidate for o in fit_out])
         if args.format == "json":
             payload = {
                 "semantics": "both",
-                "mpt": textio.revisions_to_json(MPT, mpt_out, stats),
-                "fitting": textio.revisions_to_json(FITTING, fit_out, stats),
+                "mpt": textio.revisions_to_json(MPT, mpt_out, mpt_stats),
+                "fitting": textio.revisions_to_json(FITTING, fit_out, fit_stats),
                 "agreement": agree,
             }
             print(json.dumps(payload, indent=2))

@@ -13,16 +13,15 @@ reproduces the candidate exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
+from math import prod
 
 from .lattice import (
     LatticeMismatchError,
     PairValue,
     UnsupportedOperationError,
     bot_pair,
-    pair_space,
     pcomp_pair,
 )
 from .syntax import (
@@ -46,12 +45,12 @@ DEFAULT_ENUMERATION_CAP = 10**7
 
 
 class CapExceededError(Exception):
-    """The enumeration search space exceeds the configured cap."""
+    """The change space of an enumeration exceeds the configured cap."""
 
     def __init__(self, size, cap):
         self.size = size
         self.cap = cap
-        super().__init__(f"search space of {size} candidate valuations exceeds the cap of {cap}")
+        super().__init__(f"change space of {size} changes exceeds the cap of {cap}")
 
 
 class FixpointBoundError(Exception):
@@ -301,23 +300,6 @@ def is_justified_revision(p, B_I, B_R, semantics=MPT) -> RevisionOutcome:
     return RevisionOutcome(B_R, semantics, change, verified, mapped)
 
 
-def _closure_pair_space(p: Program, B_I: PairValuation):
-    """Pairs over the finite sublattice generated by the constants occurring
-    in the program and the initial valuation, closed under complement.  A
-    heuristic search space for infinite chains, not a completeness claim."""
-    lat = p.lattice
-    elems = {lat.bot, lat.top}
-    for ha, hp, body in _compile(p):
-        elems.update((hp.pos, hp.neg))
-        for _, pv in body:
-            elems.update((pv.pos, pv.neg))
-    for _, pv in B_I.items():
-        elems.update((pv.pos, pv.neg))
-    elems |= {~e for e in set(elems)}
-    ordered = sorted(elems, key=lat.sort_key)
-    return tuple(PairValue(x, y) for x in ordered for y in ordered)
-
-
 def _precompute(p: Program, B_I: PairValuation, semantics):
     """Per-rule data reused across candidates: the original body (reduction
     step one depends on the candidate) and the body already reduced against
@@ -367,60 +349,44 @@ def _verify_fast(pre, atoms, bot, b_i_vals, cand):
     return ok, change, tuple(trace)
 
 
-def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP,
-                        jobs=None, experimental_closure=False):
-    """All justified revisions of the initial valuation, found by exhaustive
-    guess-and-check over the full pair-valuation space, returned in canonical
-    serialization order.
+def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
+    """All justified revisions of the initial valuation, returned in
+    canonical serialization order.
 
-    Finite lattices only.  For the infinite rational chain,
-    ``experimental_closure=True`` restricts the search to the finite
-    sublattice generated by the occurring constants; that search space is a
-    heuristic and results should be treated as such.
+    Every justified revision is ``(B_I & -C) | C`` where ``C`` is the
+    necessary change of the reduct.  The reduct keeps rule heads, so
+    ``C[a]`` is a join of some of the head annotations on ``a``.  The search
+    runs over the product of those per-atom head-join closures (the change
+    space, bounded by ``cap``), maps each change to its candidate, and
+    checks each distinct candidate.  The closures are finite on every
+    lattice, so the search is exact on the unit chain too.
     """
     _check_semantics(semantics)
     _check_compatible(p, B_I)
     lat = p.lattice
-    if lat.is_finite:
-        space = pair_space(lat)
-    elif experimental_closure:
-        space = _closure_pair_space(p, B_I)
-    else:
-        raise UnsupportedOperationError(
-            "cannot enumerate over an infinite lattice; "
-            "experimental_closure=True searches the finite sublattice of occurring constants")
     atoms = p.universe
-    size = len(space) ** len(atoms) if atoms else 1
-    if size > cap:
-        raise CapExceededError(size, cap)
     pre = _precompute(p, B_I, semantics)
     bot = bot_pair(lat)
+    # Per atom, every join of a subset of its rule heads, bottom included.
+    joins = {a: {bot: None} for a in atoms}
+    for ha, hp, _, _ in pre:
+        closure = joins[ha]
+        for j in tuple(closure):
+            closure.setdefault(j | hp)
+    size = prod(len(joins[a]) for a in atoms)
+    if size > cap:
+        raise CapExceededError(size, cap)
+    # The candidate is computed atom by atom, so changes that give the same
+    # value on an atom collapse before the product is taken.
+    per_atom = [
+        tuple(dict.fromkeys((B_I[a] & -c) | c for c in joins[a])) for a in atoms]
     b_i_vals = {a: B_I[a] for a in atoms}
-
-    def check(cand):
-        ok, change, trace = _verify_fast(pre, atoms, bot, b_i_vals, cand)
-        if not ok:
-            return None
-        return RevisionOutcome(
-            PairValuation(lat, dict(zip(atoms, cand))), semantics,
-            PairValuation(lat, change), True, trace)
-
     found = []
-    if jobs and jobs > 1:
-        def worker(offset):
-            out = []
-            for cand in islice(product(space, repeat=len(atoms)), offset, None, jobs):
-                o = check(cand)
-                if o is not None:
-                    out.append(o)
-            return out
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(worker, range(jobs)):
-                found.extend(part)
-    else:
-        for cand in product(space, repeat=len(atoms)):
-            o = check(cand)
-            if o is not None:
-                found.append(o)
+    for cand in product(*per_atom):
+        ok, change, trace = _verify_fast(pre, atoms, bot, b_i_vals, cand)
+        if ok:
+            found.append(RevisionOutcome(
+                PairValuation(lat, dict(zip(atoms, cand))), semantics,
+                PairValuation(lat, change), True, trace))
     found.sort(key=lambda o: o.candidate.canonical_text())
     return found

@@ -1,7 +1,10 @@
 """Shared builders for the test suite: the lattices the fixtures live on,
-random program/valuation generators, and enumeration shortcuts."""
+random program/valuation generators, enumeration shortcuts, and the
+brute-force enumeration oracle."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 from annrev import (
     NEW,
@@ -19,6 +22,7 @@ from annrev import (
     Program,
     RevisionAtom,
     enumerate_revisions,
+    is_justified_revision,
     pair_space,
 )
 
@@ -80,8 +84,21 @@ def valuation(lat, entries):
     return PairValuation(lat, vals)
 
 
-def random_old_program(rng, lat, atoms, max_rules, max_body=2):
-    els = lat.elements()
+def unit_quarters(lat):
+    """A complement-closed handful of unit-chain values for random programs
+    over the infinite chain."""
+    return tuple(lat.element(Fraction(k, 4)) for k in range(5))
+
+
+def _pairs(lat, els):
+    return pair_space(lat) if els is None else tuple(
+        PairValue(x, y) for x in els for y in els)
+
+
+def random_old_program(rng, lat, atoms, max_rules, max_body=2, els=None):
+    """Random revision-atom program; annotations come from ``els``, every
+    lattice element by default."""
+    els = lat.elements() if els is None else els
     rules = []
     for _ in range(rng.randint(1, max_rules)):
         head = oatom(lat, rng.choice(("in", "out")), rng.choice(atoms), rng.choice(els))
@@ -92,8 +109,8 @@ def random_old_program(rng, lat, atoms, max_rules, max_body=2):
     return Program(OLD, lat, atoms, rules)
 
 
-def random_new_program(rng, lat, atoms, max_rules, max_body=2):
-    space = pair_space(lat)
+def random_new_program(rng, lat, atoms, max_rules, max_body=2, els=None):
+    space = _pairs(lat, els)
     rules = []
     for _ in range(rng.randint(1, max_rules)):
         head = PairAnnotatedAtom(rng.choice(atoms), rng.choice(space))
@@ -104,8 +121,8 @@ def random_new_program(rng, lat, atoms, max_rules, max_body=2):
     return Program(NEW, lat, atoms, rules)
 
 
-def random_valuation(rng, lat, atoms):
-    space = pair_space(lat)
+def random_valuation(rng, lat, atoms, els=None):
+    space = _pairs(lat, els)
     return PairValuation(lat, {a: rng.choice(space) for a in atoms})
 
 
@@ -121,9 +138,44 @@ def revision_set(p, B_I, semantics="mpt"):
     return frozenset(o.candidate for o in enumerate_revisions(p, B_I, semantics))
 
 
+def oracle_space(p, B_I):
+    """Per-atom search space of the brute-force oracle.
+
+    Finite lattices: every pair.  Unit chain: pairs over the constants
+    occurring in the program and the initial valuation, with bottom and top,
+    closed under complement.  On a chain that set is a sublattice, and it
+    holds every component of ``(B_I & -C) | C`` for any join ``C`` of rule
+    heads, so no revision lies outside it.
+    """
+    lat = p.lattice
+    if lat.is_finite:
+        return pair_space(lat)
+    consts = {lat.bot, lat.top}
+    for r in p.rules:
+        for x in (r.head, *r.body):
+            ann = x.ann
+            consts.update((ann.pos, ann.neg) if isinstance(ann, PairValue) else (ann,))
+    for _, pv in B_I.items():
+        consts.update((pv.pos, pv.neg))
+    consts |= {~e for e in set(consts)}
+    return _pairs(lat, sorted(consts, key=lat.sort_key))
+
+
+def brute_force_revisions(p, B_I, semantics="mpt"):
+    """Guess-and-check oracle: every valuation over ``oracle_space`` checked
+    with ``is_justified_revision``, verified outcomes in canonical order."""
+    found = []
+    for combo in product(oracle_space(p, B_I), repeat=len(p.universe)):
+        o = is_justified_revision(
+            p, B_I, PairValuation(p.lattice, dict(zip(p.universe, combo))), semantics)
+        if o.verified:
+            found.append(o)
+    found.sort(key=lambda o: o.candidate.canonical_text())
+    return found
+
+
 def all_valuations(lat, atoms):
     """Every pair valuation over the universe; keep the universe tiny."""
-    from itertools import product
     space = pair_space(lat)
     for combo in product(space, repeat=len(atoms)):
         yield PairValuation(lat, dict(zip(atoms, combo)))

@@ -157,21 +157,22 @@ def test_parse_error_is_input_error(capsys, tmp_path):
     assert "'zz'" in err
 
 
-def test_revise_infinite_lattice_is_input_error(capsys):
-    code, _, err = run(capsys, "revise", FIXTURES / "lights.arp")
-    assert code == 2
-    assert "infinite" in err
+def test_revise_unit_chain_exact(capsys):
+    code, out, _ = run(capsys, "revise", FIXTURES / "lights.arp")
+    assert code == 0
+    assert "revisions: 1" in out
+    assert "  a = <0, 1>.\n  b = <1, 0>.\n" in out
 
 
 def test_revise_experimental_closure(capsys):
-    code, out, _ = run(capsys, "revise", FIXTURES / "lights.arp",
-                       "--experimental-closure")
+    code, out, _ = run(capsys, "revise", FIXTURES / "lights.arp")
     assert code == 0
     assert "a = <0, 1>" in out
 
 
 def test_revise_cap_exceeded(capsys):
-    code, _, err = run(capsys, "revise", FIXTURES / "proposal.arp", "--cap", "10")
+    # proposal's change space has 8 members.
+    code, _, err = run(capsys, "revise", FIXTURES / "proposal.arp", "--cap", "4")
     assert code == 2
     assert "exceeds the cap" in err
 
@@ -179,8 +180,28 @@ def test_revise_cap_exceeded(capsys):
 def test_byte_identical_outputs(capsys):
     _, out1, _ = run(capsys, "revise", FIXTURES / "proposal.arp")
     _, out2, _ = run(capsys, "revise", FIXTURES / "proposal.arp")
-    _, out3, _ = run(capsys, "revise", FIXTURES / "proposal.arp", "--jobs", "2")
-    assert out1 == out2 == out3
+    assert out1 == out2
+
+
+def test_revise_both_reports_stats_per_semantics(capsys, tmp_path):
+    # mpt accepts one revision of this document and fitting none; each
+    # report must count its own.
+    doc = tmp_path / "split.arp"
+    doc.write_text(
+        "lattice powerset { p, q }\n"
+        "universe { b }\n"
+        "program {\n"
+        "  out(b):{p} <- in(b):{p,q}.\n"
+        "  in(b):{p} <- out(b):{p,q}.\n"
+        "}\n"
+        "init { b = <{q}, {p,q}>. }\n")
+    code, out, _ = run(capsys, "revise", doc, "--semantics", "both", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    for s in ("mpt", "fitting"):
+        assert payload[s]["stats"]["revisions"] == len(payload[s]["revisions"])
+    assert [payload[s]["stats"]["revisions"] for s in ("mpt", "fitting")] == [1, 0]
+    assert payload["agreement"] is False
 
 
 def test_verify_needs_candidate(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +13,8 @@ from annrev import (
     PairValuation,
     PairValue,
     PowersetLattice,
+    TwoLattice,
     UnitChain,
-    UnsupportedOperationError,
     enumerate_revisions,
     f_reduct,
     fixpoint_monitor,
@@ -22,6 +23,7 @@ from annrev import (
     is_smodel,
     necessary_change,
     pair_space,
+    parse,
     reduct,
     satisfies,
     theta,
@@ -32,16 +34,21 @@ from annrev import (
 )
 from helpers import (
     all_valuations,
+    brute_force_revisions,
     chain4,
     oatom,
     old_program,
     powerset_pq,
+    powerset_pqr_custom,
+    random_new_program,
     random_old_program,
     random_valuation,
     revision_set,
+    unit_quarters,
     valuation,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 unit = UnitChain()
 
 
@@ -360,49 +367,68 @@ def test_notmodel_fitting_anomaly():
     assert B_R in revision_set(p, B_I, FITTING)
 
 
+def _outcome_key(outs):
+    return [(o.candidate, o.necessary_change, o.trace) for o in outs]
+
+
 def test_enumeration_agrees_with_verification():
+    # Change-space enumeration against the guess-and-check oracle, outcome
+    # by outcome: two, chain4, powerset{p,q}, the custom powerset{p,q,r}
+    # and small unit-chain programs, in both syntaxes and under both
+    # semantics, on one and two atoms; then lights.arp on the unit chain.
     rng = random.Random(43)
-    lat = powerset_pq()
-    for _ in range(25):
-        p = random_old_program(rng, lat, ("a",), 4)
-        B_I = random_valuation(rng, lat, ("a",))
-        for semantics in (MPT, FITTING):
-            enumerated = revision_set(p, B_I, semantics)
-            checked = {
-                B for B in all_valuations(lat, ("a",))
-                if is_justified_revision(p, B_I, B, semantics).verified}
-            assert enumerated == checked
+    cases = [
+        (TwoLattice(), None, 6, 6),
+        (chain4(), None, 6, 2),
+        (powerset_pq(), None, 6, 2),
+        (powerset_pqr_custom(), None, 4, 1),
+        (unit, unit_quarters(unit), 6, 2),
+    ]
+    for lat, els, one_atom, two_atoms in cases:
+        for atoms, trials in ((("a",), one_atom), (("a", "b"), two_atoms)):
+            for gen in (random_old_program, random_new_program):
+                for _ in range(trials):
+                    p = gen(rng, lat, atoms, 4, els=els)
+                    B_I = random_valuation(rng, lat, atoms, els=els)
+                    for semantics in (MPT, FITTING):
+                        assert (_outcome_key(enumerate_revisions(p, B_I, semantics))
+                                == _outcome_key(brute_force_revisions(p, B_I, semantics)))
+    doc = parse((FIXTURES / "lights.arp").read_text())
+    for semantics in (MPT, FITTING):
+        assert (_outcome_key(enumerate_revisions(doc.program, doc.init, semantics))
+                == _outcome_key(brute_force_revisions(doc.program, doc.init, semantics)))
 
 
 def test_enumeration_deterministic_and_parallel_stable():
     lat, p, B_I = proposal()
     a = enumerate_revisions(p, B_I, MPT)
     b = enumerate_revisions(p, B_I, MPT)
-    c = enumerate_revisions(p, B_I, MPT, jobs=3)
-    assert [o.candidate for o in a] == [o.candidate for o in b] == [o.candidate for o in c]
+    assert [o.candidate for o in a] == [o.candidate for o in b]
     texts = [o.candidate.canonical_text() for o in a]
     assert texts == sorted(texts)
 
 
 def test_enumeration_cap():
+    # proposal's change space has 8 members.
     lat, p, B_I = proposal()
-    with pytest.raises(CapExceededError):
-        enumerate_revisions(p, B_I, MPT, cap=10)
+    with pytest.raises(CapExceededError, match="exceeds the cap"):
+        enumerate_revisions(p, B_I, MPT, cap=4)
+    assert len(enumerate_revisions(p, B_I, MPT, cap=8)) == 2
 
 
-def test_enumeration_refuses_infinite_lattice():
+def test_enumeration_exact_on_unit_chain():
     p = lights_program()
     B_I = valuation(unit, {"a": (Fraction(3, 10), Fraction(7, 10)),
                            "b": (Fraction(9, 10), Fraction(1, 10))})
-    with pytest.raises(UnsupportedOperationError):
-        enumerate_revisions(p, B_I, MPT)
+    outs = enumerate_revisions(p, B_I, MPT)
+    assert [o.candidate for o in outs] == [valuation(unit, {"a": (0, 1), "b": (1, 0)})]
 
 
 def test_experimental_closure_enumeration_finds_lights_revision():
     p = lights_program()
     B_I = valuation(unit, {"a": (Fraction(3, 10), Fraction(7, 10)),
                            "b": (Fraction(9, 10), Fraction(1, 10))})
-    outs = enumerate_revisions(p, B_I, MPT, experimental_closure=True)
+    outs = enumerate_revisions(p, B_I, MPT)
     expected = valuation(unit, {"a": (0, 1), "b": (1, 0)})
     assert expected in {o.candidate for o in outs}
 
