@@ -8,6 +8,8 @@ Order isomorphisms of the evidence-pair lattice shift revision problems
 between initial databases.
 """
 
+from types import ModuleType as _ModuleType
+
 from .engine import (
     DEFAULT_ENUMERATION_CAP,
     FITTING,
@@ -43,11 +45,6 @@ from .lattice import (
     UnsupportedOperationError,
     ValidationReport,
     bot_pair,
-    conflation,
-    is_consistent,
-    join_k,
-    leq_k,
-    meet_k,
     negation,
     pair_space,
     pcomp_pair,
@@ -80,11 +77,11 @@ from .valuation import (
     TValuation,
     apply_change,
     diff,
-    is_consistent_valuation,
     satisfies,
     theta,
     theta_inv,
     transformable,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

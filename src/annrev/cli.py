@@ -252,16 +252,8 @@ def main(argv=None) -> int:
     try:
         doc = _load(args.input)
         return _COMMANDS[args.command](doc, args)
-    except textio.DslError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except engine.CapExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (UnsupportedOperationError, LatticeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as e:
+    except (textio.DslError, engine.CapExceededError, UnsupportedOperationError,
+            LatticeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

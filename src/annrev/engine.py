@@ -9,6 +9,14 @@ semantics, tagged ``mpt``) or stripped of the atoms it satisfies (the
 deletion variant, tagged ``fitting``).  A candidate is a justified revision
 when applying the reduct's necessary change to the initial valuation
 reproduces the candidate exactly.
+
+All of it runs on one compiled form, a ``(source_index, head_atom,
+head_pair, body)`` tuple per rule.  One step function serves ``tpb``, and
+one least-fixpoint loop built on it serves ``necessary_change`` and the
+reduct inside each check.  One check, which keeps the rules the candidate
+satisfies and reduces only their bodies, serves ``is_justified_revision``
+and ``enumerate_revisions``; enumeration reduces each body once.
+``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .syntax import (
     rin,
     rout,
 )
-from .valuation import PairValuation, TValuation, apply_change, satisfies, theta_inv
+from .valuation import PairValuation, TValuation, satisfies, theta_inv
 
 MPT = "mpt"
 FITTING = "fitting"
@@ -99,26 +107,27 @@ def _check_compatible(p, *valuations):
             raise ValueError("valuation universe differs from the program's")
 
 
-def _compile_rule(rule, lattice):
-    """Internal pair form of a rule: (head_atom, head_pair, body), the body a
-    tuple of (atom, pair).  Revision-atom annotations occupy one side of the
-    pair, the other side resting at bottom; satisfaction, the one-step
-    operator, and both reducts agree with the literal definitions under this
-    encoding."""
-    bot = lattice.bot
-    if isinstance(rule, OldRule):
-        def as_pair(a):
-            if a.ratom.polarity == IN:
-                return a.ratom.atom, PairValue(a.ann, bot)
-            return a.ratom.atom, PairValue(bot, a.ann)
-        ha, hp = as_pair(rule.head)
-        return ha, hp, tuple(as_pair(b) for b in rule.body)
-    ha, hp = rule.head.atom, rule.head.ann
-    return ha, hp, tuple((b.atom, b.ann) for b in rule.body)
-
-
 def _compile(p: Program):
-    return [_compile_rule(r, p.lattice) for r in p.rules]
+    """Compiled form of the rules: one ``(source_index, head_atom, head_pair,
+    body)`` tuple per rule, the body a tuple of ``(atom, pair)``.
+    Revision-atom annotations occupy one side of the pair, the other side
+    resting at bottom; satisfaction, the one-step operator, and both reducts
+    agree with the literal definitions under this encoding."""
+    bot = p.lattice.bot
+    if p.syntax != OLD:
+        return [(i, r.head.atom, r.head.ann, tuple((b.atom, b.ann) for b in r.body))
+                for i, r in enumerate(p.rules)]
+
+    def as_pair(a):
+        if a.ratom.polarity == IN:
+            return a.ratom.atom, PairValue(a.ann, bot)
+        return a.ratom.atom, PairValue(bot, a.ann)
+    return [(i, *as_pair(r.head), tuple(as_pair(b) for b in r.body))
+            for i, r in enumerate(p.rules)]
+
+
+def _bottom(p: Program):
+    return dict.fromkeys(p.universe, bot_pair(p.lattice))
 
 
 def tp_heads(p: Program, v):
@@ -155,56 +164,58 @@ def tp(p: Program, v: TValuation) -> TValuation:
     return TValuation(lat, acc)
 
 
+def _step(rules, vals, bottom):
+    """One step of the compiled rules' operator: each atom gets the join of
+    the heads of the rules whose bodies ``vals`` satisfies, ``bottom``'s
+    value where none fires.  Returns the new values and the source indices
+    of the fired rules."""
+    new = dict(bottom)
+    fired = []
+    for i, ha, hp, body in rules:
+        if all(pv <= vals[a] for a, pv in body):
+            new[ha] = new[ha] | hp
+            fired.append(i)
+    return new, tuple(fired)
+
+
 def tpb(p: Program, B: PairValuation) -> PairValuation:
     """One step of the program over a pair valuation; monotone in the
     information ordering."""
     _check_compatible(p, B)
-    lat = p.lattice
-    vals = {a: bot_pair(lat) for a in p.universe}
-    for ha, hp, body in _compile(p):
-        if all(pv <= B[a] for a, pv in body):
-            vals[ha] = vals[ha] | hp
-    return PairValuation(lat, vals)
+    new, _ = _step(_compile(p), dict(B.items()), _bottom(p))
+    return PairValuation(p.lattice, new)
 
 
-def _nc_compiled(crules, lattice, universe):
+def _lfp(rules, bottom):
     """Least fixpoint of the compiled rules' operator, iterated from the
-    bottom valuation.
+    bottom valuation.  Returns the fixpoint and, per productive step, the
+    source indices of the fired rules.
 
     The fired-rule set can only grow along the increasing iterates, so the
     fixpoint is reached within (#rules + 1) productive steps; running past
     #rules + 2 applications is an internal invariant violation.
     """
-    bound = len(crules) + 1
-    bp = bot_pair(lattice)
-    vals = {a: bp for a in universe}
+    bound = len(rules) + 1
+    vals = bottom
     trace = []
-    iterations = 0
-    for _ in range(len(crules) + 2):
-        fired = tuple(
-            i for i, (ha, hp, body) in enumerate(crules)
-            if all(pv <= vals[a] for a, pv in body))
-        new = {a: bp for a in universe}
-        for i in fired:
-            ha, hp, _ = crules[i]
-            new[ha] = new[ha] | hp
+    for iterations in range(len(rules) + 2):
+        new, fired = _step(rules, vals, bottom)
         if new == vals:
             fixpoint_monitor.record(iterations, bound)
             if iterations > bound:
                 raise FixpointBoundError(
-                    f"fixpoint took {iterations} productive steps for {len(crules)} rules")
-            return vals, tuple(trace), iterations
+                    f"fixpoint took {iterations} productive steps for {len(rules)} rules")
+            return vals, tuple(trace)
         trace.append(fired)
         vals = new
-        iterations += 1
     raise FixpointBoundError(
-        f"no fixpoint within {len(crules) + 2} applications for {len(crules)} rules")
+        f"no fixpoint within {len(rules) + 2} applications for {len(rules)} rules")
 
 
 def necessary_change(p: Program) -> PairValuation:
     """Least fixpoint of the program's one-step operator: the change every
     revision must include regardless of the initial valuation."""
-    vals, _, _ = _nc_compiled(_compile(p), p.lattice, p.universe)
+    vals, _ = _lfp(_compile(p), _bottom(p))
     return PairValuation(p.lattice, vals)
 
 
@@ -286,67 +297,37 @@ class RevisionOutcome:
     trace: tuple[tuple[int, ...], ...]
 
 
+def _reducer(semantics, B_I):
+    """Step two of the reduction as a function of a compiled rule's source
+    index and body: mpt replaces each annotation by what is still needed
+    beyond ``B_I``, fitting deletes the body atoms ``B_I`` satisfies."""
+    if semantics == MPT:
+        return lambda _, body: tuple((a, pcomp_pair(B_I[a], pv)) for a, pv in body)
+    return lambda _, body: tuple((a, pv) for a, pv in body if not pv <= B_I[a])
+
+
+def _justify(rules, reduce, B_I, B_R, bottom):
+    """Check one candidate ``B_R`` (atom -> pair): keep the rules whose
+    bodies it satisfies, reduce their bodies with ``reduce(index, body)``,
+    and compare ``(B_I & -C) | C`` with it, ``C`` the kept rules' least
+    fixpoint.  Returns (verified, change, trace)."""
+    kept = [(i, ha, hp, reduce(i, body)) for i, ha, hp, body in rules
+            if all(pv <= B_R[a] for a, pv in body)]
+    change, trace = _lfp(kept, bottom)
+    ok = all((B_I[a] & -c) | c == B_R[a] for a, c in change.items())
+    return ok, change, trace
+
+
 def is_justified_revision(p, B_I, B_R, semantics=MPT) -> RevisionOutcome:
     """Grounded fixpoint check: the candidate is a justified revision when it
     equals the initial valuation revised by the necessary change of the
     reduct taken with respect to (initial, candidate)."""
     _check_semantics(semantics)
-    red = reduct(p, B_I, B_R) if semantics == MPT else f_reduct(p, B_I, B_R)
-    crules = [_compile_rule(r, p.lattice) for r in red.rules]
-    vals, trace, _ = _nc_compiled(crules, p.lattice, p.universe)
-    change = PairValuation(p.lattice, vals)
-    verified = apply_change(B_I, change) == B_R
-    mapped = tuple(tuple(red.sources[i] for i in step) for step in trace)
-    return RevisionOutcome(B_R, semantics, change, verified, mapped)
-
-
-def _precompute(p: Program, B_I: PairValuation, semantics):
-    """Per-rule data reused across candidates: the original body (reduction
-    step one depends on the candidate) and the body already reduced against
-    the initial valuation (step two does not)."""
-    out = []
-    for ha, hp, body in _compile(p):
-        if semantics == MPT:
-            reduced = tuple((a, pcomp_pair(B_I[a], pv)) for a, pv in body)
-        else:
-            reduced = tuple((a, pv) for a, pv in body if not pv <= B_I[a])
-        out.append((ha, hp, body, reduced))
-    return out
-
-
-def _verify_fast(pre, atoms, bot, b_i_vals, cand):
-    """Check one candidate, given precomputed reduced bodies.  Returns
-    (verified, change_by_atom, trace_of_source_indices)."""
-    vals = dict(zip(atoms, cand))
-    selected = [
-        k for k, (ha, hp, body, red) in enumerate(pre)
-        if all(pv <= vals[a] for a, pv in body)]
-    bound = len(selected) + 1
-    change = {a: bot for a in atoms}
-    trace = []
-    iterations = 0
-    for _ in range(len(selected) + 2):
-        fired = tuple(
-            k for k in selected
-            if all(pv <= change[a] for a, pv in pre[k][3]))
-        new = {a: bot for a in atoms}
-        for k in fired:
-            ha, hp = pre[k][0], pre[k][1]
-            new[ha] = new[ha] | hp
-        if new == change:
-            fixpoint_monitor.record(iterations, bound)
-            if iterations > bound:
-                raise FixpointBoundError(
-                    f"fixpoint took {iterations} productive steps for {len(selected)} rules")
-            break
-        trace.append(fired)
-        change = new
-        iterations += 1
-    else:
-        raise FixpointBoundError(
-            f"no fixpoint within {len(selected) + 2} applications")
-    ok = all(((b_i_vals[a] & -change[a]) | change[a]) == vals[a] for a in atoms)
-    return ok, change, tuple(trace)
+    _check_compatible(p, B_I, B_R)
+    i_vals = dict(B_I.items())
+    ok, change, trace = _justify(
+        _compile(p), _reducer(semantics, i_vals), i_vals, dict(B_R.items()), _bottom(p))
+    return RevisionOutcome(B_R, semantics, PairValuation(p.lattice, change), ok, trace)
 
 
 def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
@@ -365,11 +346,11 @@ def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
     _check_compatible(p, B_I)
     lat = p.lattice
     atoms = p.universe
-    pre = _precompute(p, B_I, semantics)
+    rules = _compile(p)
     bot = bot_pair(lat)
     # Per atom, every join of a subset of its rule heads, bottom included.
     joins = {a: {bot: None} for a in atoms}
-    for ha, hp, _, _ in pre:
+    for _, ha, hp, _ in rules:
         closure = joins[ha]
         for j in tuple(closure):
             closure.setdefault(j | hp)
@@ -380,13 +361,20 @@ def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
     # value on an atom collapse before the product is taken.
     per_atom = [
         tuple(dict.fromkeys((B_I[a] & -c) | c for c in joins[a])) for a in atoms]
-    b_i_vals = {a: B_I[a] for a in atoms}
+    i_vals = dict(B_I.items())
+    reduce = _reducer(semantics, i_vals)
+    reduced = [reduce(i, body) for i, _, _, body in rules]
+
+    def reduce_once(i, _):
+        return reduced[i]
+
+    bottom = _bottom(p)
     found = []
     for cand in product(*per_atom):
-        ok, change, trace = _verify_fast(pre, atoms, bot, b_i_vals, cand)
+        B_R = dict(zip(atoms, cand))
+        ok, change, trace = _justify(rules, reduce_once, i_vals, B_R, bottom)
         if ok:
             found.append(RevisionOutcome(
-                PairValuation(lat, dict(zip(atoms, cand))), semantics,
-                PairValuation(lat, change), True, trace))
+                PairValuation(lat, B_R), semantics, PairValuation(lat, change), True, trace))
     found.sort(key=lambda o: o.candidate.canonical_text())
     return found

@@ -692,32 +692,12 @@ class PairValue:
         return f"<{self.pos!r}, {self.neg!r}>"
 
 
-def meet_k(x: PairValue, y: PairValue) -> PairValue:
-    return x & y
-
-
-def join_k(x: PairValue, y: PairValue) -> PairValue:
-    return x | y
-
-
-def leq_k(x: PairValue, y: PairValue) -> bool:
-    return x <= y
-
-
 def bot_pair(lat: Lattice) -> PairValue:
     return PairValue(lat.bot, lat.bot)
 
 
 def top_pair(lat: Lattice) -> PairValue:
     return PairValue(lat.top, lat.top)
-
-
-def conflation(v: PairValue) -> PairValue:
-    return -v
-
-
-def is_consistent(v: PairValue) -> bool:
-    return v.is_consistent()
 
 
 def negation(v: PairValue) -> PairValue:

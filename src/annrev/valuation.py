@@ -232,10 +232,6 @@ def apply_change(B: PairValuation, C: PairValuation) -> PairValuation:
     return (B & -C) | C
 
 
-def is_consistent_valuation(B: PairValuation) -> bool:
-    return B.is_consistent()
-
-
 def _chain_pair_candidates(lat, pairs):
     """Finite sublattice of the chain generated by the given pair components
     under meet, join, and complement: the components, their complements, and

@@ -1,12 +1,13 @@
 """Shared builders for the test suite: the lattices the fixtures live on,
 random program/valuation generators, enumeration shortcuts, and the
-brute-force enumeration oracle."""
+brute-force enumeration oracle with its literal justification check."""
 
 import random
 from fractions import Fraction
 from itertools import product
 
 from annrev import (
+    IN,
     NEW,
     OLD,
     AnnotatedRevisionAtom,
@@ -21,9 +22,13 @@ from annrev import (
     PowersetLattice,
     Program,
     RevisionAtom,
+    RevisionOutcome,
+    apply_change,
     enumerate_revisions,
-    is_justified_revision,
+    f_reduct,
     pair_space,
+    reduct,
+    satisfies,
 )
 
 PQR_COMPLEMENT = {
@@ -161,12 +166,46 @@ def oracle_space(p, B_I):
     return _pairs(lat, sorted(consts, key=lat.sort_key))
 
 
+def _head_pair(lat, head):
+    """The atom a rule head names and the pair it adds to the one-step
+    image: a revision atom's annotation on its side, bottom on the other."""
+    if isinstance(head, PairAnnotatedAtom):
+        return head.atom, head.ann
+    bot = lat.bot
+    pair = PairValue(head.ann, bot) if head.ratom.polarity == IN else PairValue(bot, head.ann)
+    return head.ratom.atom, pair
+
+
+def literal_justification(p, B_I, B_R, semantics="mpt"):
+    """The definition of a justified revision on the public rule objects:
+    the reduct (``reduct`` under mpt, ``f_reduct`` under fitting), its least
+    fixpoint iterated from bottom with ``satisfies``, recording the reduct's
+    ``sources`` of the fired rules per productive step, then
+    ``apply_change``.  Shares no code with the engine's compiled kernel."""
+    lat = p.lattice
+    red = (reduct if semantics == "mpt" else f_reduct)(p, B_I, B_R)
+    change = PairValuation.bottom(lat, p.universe)
+    trace = []
+    for _ in range(len(red.rules) + 2):
+        fired = [k for k, r in enumerate(red.rules) if satisfies(change, r.body)]
+        image = PairValuation.bottom(lat, p.universe)
+        for k in fired:
+            a, pv = _head_pair(lat, red.rules[k].head)
+            image = image.replace(a, image[a] | pv)
+        if image == change:
+            verified = apply_change(B_I, change) == B_R
+            return RevisionOutcome(B_R, semantics, change, verified, tuple(trace))
+        trace.append(tuple(red.sources[k] for k in fired))
+        change = image
+    raise AssertionError("the reduct's operator reached no fixpoint")
+
+
 def brute_force_revisions(p, B_I, semantics="mpt"):
     """Guess-and-check oracle: every valuation over ``oracle_space`` checked
-    with ``is_justified_revision``, verified outcomes in canonical order."""
+    with ``literal_justification``, verified outcomes in canonical order."""
     found = []
     for combo in product(oracle_space(p, B_I), repeat=len(p.universe)):
-        o = is_justified_revision(
+        o = literal_justification(
             p, B_I, PairValuation(p.lattice, dict(zip(p.universe, combo))), semantics)
         if o.verified:
             found.append(o)

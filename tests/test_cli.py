@@ -164,12 +164,6 @@ def test_revise_unit_chain_exact(capsys):
     assert "  a = <0, 1>.\n  b = <1, 0>.\n" in out
 
 
-def test_revise_experimental_closure(capsys):
-    code, out, _ = run(capsys, "revise", FIXTURES / "lights.arp")
-    assert code == 0
-    assert "a = <0, 1>" in out
-
-
 def test_revise_cap_exceeded(capsys):
     # proposal's change space has 8 members.
     code, _, err = run(capsys, "revise", FIXTURES / "proposal.arp", "--cap", "4")

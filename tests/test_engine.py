@@ -36,6 +36,7 @@ from helpers import (
     all_valuations,
     brute_force_revisions,
     chain4,
+    literal_justification,
     oatom,
     old_program,
     powerset_pq,
@@ -371,12 +372,10 @@ def _outcome_key(outs):
     return [(o.candidate, o.necessary_change, o.trace) for o in outs]
 
 
-def test_enumeration_agrees_with_verification():
-    # Change-space enumeration against the guess-and-check oracle, outcome
-    # by outcome: two, chain4, powerset{p,q}, the custom powerset{p,q,r}
-    # and small unit-chain programs, in both syntaxes and under both
-    # semantics, on one and two atoms; then lights.arp on the unit chain.
-    rng = random.Random(43)
+def _random_problems(rng):
+    """Random (program, initial valuation) pairs over two, chain4,
+    powerset{p,q}, the custom powerset{p,q,r} and small unit-chain
+    programs, in both syntaxes, on one and two atoms."""
     cases = [
         (TwoLattice(), None, 6, 6),
         (chain4(), None, 6, 2),
@@ -389,17 +388,43 @@ def test_enumeration_agrees_with_verification():
             for gen in (random_old_program, random_new_program):
                 for _ in range(trials):
                     p = gen(rng, lat, atoms, 4, els=els)
-                    B_I = random_valuation(rng, lat, atoms, els=els)
-                    for semantics in (MPT, FITTING):
-                        assert (_outcome_key(enumerate_revisions(p, B_I, semantics))
-                                == _outcome_key(brute_force_revisions(p, B_I, semantics)))
+                    yield p, random_valuation(rng, lat, atoms, els=els), els
+
+
+def test_enumeration_agrees_with_verification():
+    # Change-space enumeration against the guess-and-check oracle, outcome
+    # by outcome, under both semantics; then lights.arp on the unit chain.
+    for p, B_I, _ in _random_problems(random.Random(43)):
+        for semantics in (MPT, FITTING):
+            assert (_outcome_key(enumerate_revisions(p, B_I, semantics))
+                    == _outcome_key(brute_force_revisions(p, B_I, semantics)))
     doc = parse((FIXTURES / "lights.arp").read_text())
     for semantics in (MPT, FITTING):
         assert (_outcome_key(enumerate_revisions(doc.program, doc.init, semantics))
                 == _outcome_key(brute_force_revisions(doc.program, doc.init, semantics)))
 
 
-def test_enumeration_deterministic_and_parallel_stable():
+def test_verification_agrees_with_definition():
+    # The compiled check against the literal one (public reduct, iteration
+    # with satisfies, apply_change) on random candidates and on each
+    # problem's revisions, so that both verdicts occur.
+    rng = random.Random(59)
+    verdicts = set()
+    for p, B_I, els in _random_problems(rng):
+        for semantics in (MPT, FITTING):
+            candidates = [random_valuation(rng, p.lattice, p.universe, els=els)
+                          for _ in range(3)]
+            candidates += [o.candidate for o in enumerate_revisions(p, B_I, semantics)]
+            for B_R in candidates:
+                got = is_justified_revision(p, B_I, B_R, semantics)
+                want = literal_justification(p, B_I, B_R, semantics)
+                assert ((got.verified, got.necessary_change, got.trace)
+                        == (want.verified, want.necessary_change, want.trace))
+                verdicts.add(got.verified)
+    assert verdicts == {True, False}
+
+
+def test_enumeration_deterministic():
     lat, p, B_I = proposal()
     a = enumerate_revisions(p, B_I, MPT)
     b = enumerate_revisions(p, B_I, MPT)
@@ -422,15 +447,6 @@ def test_enumeration_exact_on_unit_chain():
                            "b": (Fraction(9, 10), Fraction(1, 10))})
     outs = enumerate_revisions(p, B_I, MPT)
     assert [o.candidate for o in outs] == [valuation(unit, {"a": (0, 1), "b": (1, 0)})]
-
-
-def test_experimental_closure_enumeration_finds_lights_revision():
-    p = lights_program()
-    B_I = valuation(unit, {"a": (Fraction(3, 10), Fraction(7, 10)),
-                           "b": (Fraction(9, 10), Fraction(1, 10))})
-    outs = enumerate_revisions(p, B_I, MPT)
-    expected = valuation(unit, {"a": (0, 1), "b": (1, 0)})
-    assert expected in {o.candidate for o in outs}
 
 
 def test_trace_reports_source_rule_indices():

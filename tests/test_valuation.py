@@ -14,7 +14,6 @@ from annrev import (
     apply_change,
     bot_pair,
     diff,
-    is_consistent_valuation,
     pair_space,
     rin,
     rout,
@@ -151,9 +150,9 @@ def test_diff_is_least_member():
 def test_is_consistent_valuation():
     B_I = valuation(unit, {"a": (Fraction(3, 10), Fraction(7, 10)),
                            "b": (Fraction(9, 10), Fraction(1, 10))})
-    assert is_consistent_valuation(B_I)
+    assert B_I.is_consistent()
     lat = powerset_pq()
-    assert not is_consistent_valuation(valuation(lat, {"a": ({"q"}, {"q"})}))
+    assert not valuation(lat, {"a": ({"q"}, {"q"})}).is_consistent()
 
 
 def test_transformable_examples():
