@@ -12,10 +12,13 @@ reproduces the candidate exactly.
 
 All of it runs on one compiled form, a ``(source_index, head_atom,
 head_pair, body)`` tuple per rule.  One step function serves ``tpb``, and
-one least-fixpoint loop built on it serves ``necessary_change`` and the
-reduct inside each check.  One check, which keeps the rules the candidate
-satisfies and reduces only their bodies, serves ``is_justified_revision``
-and ``enumerate_revisions``; enumeration reduces each body once.
+one least-fixpoint loop serves ``necessary_change`` and the reduct inside
+each check.  The loop is semi-naive: after the first step it tests only
+the unfired rules that read an atom whose value just changed, and it
+reaches the fixpoint within #rules productive steps.  One check, which
+keeps the rules the candidate satisfies and reduces only their bodies,
+serves ``is_justified_revision`` and ``enumerate_revisions``; enumeration
+reduces each body once.
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
 """
 
@@ -189,27 +192,44 @@ def tpb(p: Program, B: PairValuation) -> PairValuation:
 def _lfp(rules, bottom):
     """Least fixpoint of the compiled rules' operator, iterated from the
     bottom valuation.  Returns the fixpoint and, per productive step, the
-    source indices of the fired rules.
+    source indices of every rule fired so far, in source order.
 
-    The fired-rule set can only grow along the increasing iterates, so the
-    fixpoint is reached within (#rules + 1) productive steps; running past
-    #rules + 2 applications is an internal invariant violation.
+    The iteration is semi-naive.  A fired rule stays fired along the
+    increasing iterates, so each iterate is the join of the heads of a
+    growing fired set: a step joins the old values with the heads of the
+    rules that fire for the first time, and only the unfired rules that
+    read an atom the previous step changed are tested again.  A step is
+    productive when some value changes, which takes a newly fired rule, so
+    the fixpoint is reached within #rules productive steps; a further
+    productive step is an internal invariant violation.
     """
-    bound = len(rules) + 1
-    vals = bottom
+    watch = {}
+    for k, (_, _, _, body) in enumerate(rules):
+        for a, _ in body:
+            watch.setdefault(a, []).append(k)
+    bound = len(rules)
+    vals = dict(bottom)
+    fired = set()
     trace = []
-    for iterations in range(len(rules) + 2):
-        new, fired = _step(rules, vals, bottom)
-        if new == vals:
+    todo = range(len(rules))
+    for iterations in range(bound + 1):
+        new = [k for k in todo if all(pv <= vals[a] for a, pv in rules[k][3])]
+        changed = set()
+        for k in new:
+            _, ha, hp, _ = rules[k]
+            joined = vals[ha] | hp
+            if joined != vals[ha]:
+                vals[ha] = joined
+                changed.add(ha)
+        if not changed:
             fixpoint_monitor.record(iterations, bound)
-            if iterations > bound:
-                raise FixpointBoundError(
-                    f"fixpoint took {iterations} productive steps for {len(rules)} rules")
             return vals, tuple(trace)
-        trace.append(fired)
-        vals = new
+        fired.update(new)
+        trace.append(tuple(rules[k][0] for k in sorted(fired)))
+        todo = {k for a in changed for k in watch.get(a, ()) if k not in fired}
+    fixpoint_monitor.record(bound + 1, bound)
     raise FixpointBoundError(
-        f"no fixpoint within {len(rules) + 2} applications for {len(rules)} rules")
+        f"no fixpoint within {bound + 1} steps for {len(rules)} rules")
 
 
 def necessary_change(p: Program) -> PairValuation:

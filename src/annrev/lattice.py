@@ -139,9 +139,12 @@ class Lattice:
         """Least gamma with join(alpha, gamma) >= beta.
 
         On a validated distributive lattice the meet of all satisfying
-        elements is itself satisfying, so a full scan is exact.  Chains
-        override this with a closed form.
+        elements is itself satisfying, so a full scan is exact.  When
+        ``beta <= alpha`` bottom is that least element, without a scan.
+        Chains override this with a closed form.
         """
+        if beta <= alpha:
+            return self.bot
         sats = [g for g in self.elements() if beta <= (alpha | g)]
         out = self.big_meet(sats)
         if not beta <= (alpha | out):

@@ -131,6 +131,65 @@ def random_valuation(rng, lat, atoms, els=None):
     return PairValuation(lat, {a: rng.choice(space) for a in atoms})
 
 
+def deep_chain_program(rng, lat, syntax, depth, cross, els=None):
+    """A program, its rules in shuffled order, whose least fixpoint takes
+    exactly ``depth`` productive steps.  Returns ``(program, late_index)``.
+
+    Chain rule t reads exactly the head of rule t - 1, and each head lifts
+    its atom (or, in revision-atom syntax, one side of it) strictly above
+    every earlier head on it, so rule t first fires at step t.  ``cross``
+    rules each read two chain heads, in random order, and put a random
+    head on the extra atom ``z``, which no body reads; none reads the last
+    chain head.  The rule at ``late_index`` reads the last chain head and
+    repeats the first: it first fires on the final step, which changes no
+    value and so adds no trace entry.
+    """
+    els = lat.elements() if els is None else els
+    bot = lat.bot
+    space = _pairs(lat, els)
+    atoms = []
+    now = {}
+    heads = []
+    while len(heads) < depth:
+        if not atoms or rng.random() < 0.2:
+            atoms.append(f"x{len(atoms)}")
+        a = rng.choice(atoms)
+        if syntax == OLD:
+            pol = rng.choice(("in", "out"))
+            cur = now.get((a, pol), bot)
+            ups = list(dict.fromkeys(cur | y for y in els if not y <= cur))
+            if ups:
+                now[a, pol] = rng.choice(ups)
+                heads.append(oatom(lat, pol, a, now[a, pol]))
+        else:
+            cur = now.get(a, PairValue(bot, bot))
+            ups = list(dict.fromkeys(cur | q for q in space if not q <= cur))
+            if ups:
+                now[a] = rng.choice(ups)
+                heads.append(PairAnnotatedAtom(a, now[a]))
+    if syntax == OLD:
+        rule = OldRule
+
+        def z_head():
+            return oatom(lat, rng.choice(("in", "out")), "z", rng.choice(els))
+    else:
+        rule = NewRule
+
+        def z_head():
+            return PairAnnotatedAtom("z", rng.choice(space))
+    rules = [rule(heads[0], ())]
+    rules += [rule(heads[t], (heads[t - 1],)) for t in range(1, depth)]
+    for _ in range(cross):
+        i, j = sorted(rng.sample(range(depth - 1), 2))
+        body = (heads[i], heads[j]) if rng.random() < 0.5 else (heads[j], heads[i])
+        rules.append(rule(z_head(), body))
+    late = rule(heads[0], (heads[-1],))
+    rules.append(late)
+    rng.shuffle(rules)
+    p = Program(syntax, lat, (*atoms, "z"), rules)
+    return p, p.rules.index(late)
+
+
 def random_universe(rng, weights=((1, 9), (2, 9), (3, 2))):
     """Small universes, biased toward 1 or 2 atoms to keep enumeration
     affordable while still exercising 3-atom cases."""

@@ -9,12 +9,15 @@ import pytest
 from annrev import (
     FITTING,
     MPT,
+    NEW,
+    OLD,
     CapExceededError,
     PairValuation,
     PairValue,
     PowersetLattice,
     TwoLattice,
     UnitChain,
+    apply_change,
     enumerate_revisions,
     f_reduct,
     fixpoint_monitor,
@@ -36,6 +39,7 @@ from helpers import (
     all_valuations,
     brute_force_revisions,
     chain4,
+    deep_chain_program,
     literal_justification,
     oatom,
     old_program,
@@ -424,6 +428,61 @@ def test_verification_agrees_with_definition():
     assert verdicts == {True, False}
 
 
+def _deep_problems(rng):
+    """Derivation chains of 30-60 rules with cross rules, in both syntaxes,
+    over chain4, powerset{p,q} and unit-chain quarters."""
+    for lat, els in ((chain4(), None), (powerset_pq(), None), (unit, unit_quarters(unit))):
+        for syntax in (OLD, NEW):
+            depth = rng.randint(30, 60)
+            p, late = deep_chain_program(rng, lat, syntax, depth, depth // 3, els)
+            yield p, depth, late, els
+
+
+def test_deep_chain_necessary_change_matches_naive_iteration():
+    for p, depth, _, _ in _deep_problems(random.Random(61)):
+        v = PairValuation.bottom(p.lattice, p.universe)
+        steps = 0
+        while (image := tpb(p, v)) != v:
+            v = image
+            steps += 1
+        assert steps == depth
+        assert necessary_change(p) == v
+
+
+def test_deep_chain_verification_agrees_with_definition():
+    # Accepted candidate: every rule fires in the necessary change C, so with
+    # any B_I the reduct keeps them all and its fixpoint is C again.  The
+    # perturbed candidate moves one atom of it.
+    rng = random.Random(67)
+    verdicts = set()
+    for p, depth, late, els in _deep_problems(rng):
+        lat, atoms = p.lattice, p.universe
+        bottom = PairValuation.bottom(lat, atoms)
+        change = necessary_change(p)
+        for B_I in (bottom, random_valuation(rng, lat, atoms, els=els)):
+            accepted = apply_change(B_I, change)
+            a = rng.choice(atoms)
+            moved = accepted
+            while moved == accepted:
+                moved = accepted.replace(a, random_valuation(rng, lat, (a,), els=els)[a])
+            for semantics in (MPT, FITTING):
+                for B_R in (accepted, moved):
+                    got = is_justified_revision(p, B_I, B_R, semantics)
+                    want = literal_justification(p, B_I, B_R, semantics)
+                    assert ((got.verified, got.necessary_change, got.trace)
+                            == (want.verified, want.necessary_change, want.trace))
+                    assert got.verified or B_R is moved
+                    verdicts.add(got.verified)
+        # From bottom the reduct is the program: one trace entry per chain
+        # step, and the rule that first fires on the final, unproductive
+        # step is in none of them.
+        trace = is_justified_revision(p, bottom, change).trace
+        assert len(trace) == depth
+        assert late not in trace[-1]
+        assert set(trace[-1]) == set(range(len(p.rules))) - {late}
+    assert verdicts == {True, False}
+
+
 def test_enumeration_deterministic():
     lat, p, B_I = proposal()
     a = enumerate_revisions(p, B_I, MPT)
@@ -467,6 +526,21 @@ def test_fixpoint_monitor_records_and_stays_within_bound():
     assert fixpoint_monitor.runs == 50
     assert fixpoint_monitor.violations == 0
     assert fixpoint_monitor.worst_iterations <= fixpoint_monitor.worst_bound
+
+
+def test_fixpoint_bound_is_tight_on_a_chain():
+    # Rule t reads the head of rule t - 1, so each step fires exactly one new
+    # rule: k productive steps for k rules, the bound itself.
+    k = 12
+    lat = TwoLattice()
+    atoms = tuple(f"x{t}" for t in range(k))
+    p = old_program(lat, atoms, [(("in", atoms[0], "t"), [])] + [
+        (("in", atoms[t], "t"), [("in", atoms[t - 1], "t")]) for t in range(1, k)])
+    fixpoint_monitor.reset()
+    necessary_change(p)
+    assert fixpoint_monitor.runs == 1
+    assert fixpoint_monitor.worst_iterations == fixpoint_monitor.worst_bound == k
+    assert fixpoint_monitor.violations == 0
 
 
 def test_new_syntax_verification_matches_old():

@@ -137,6 +137,24 @@ def test_pcomp_defining_property_exhaustive():
                         assert g <= other
 
 
+def test_pcomp_shortcut_matches_scan_exhaustive():
+    # pcomp answers bottom without scanning when beta <= alpha; on every
+    # pair, shortcut or not, it must equal the meet of all satisfying elements.
+    stacked = CustomLattice(
+        ("bot", "c", "a", "b", "ab", "top"),
+        [("bot", "c"), ("c", "a"), ("c", "b"), ("a", "ab"), ("b", "ab"), ("ab", "top")],
+        {"bot": "top", "c": "ab", "a": "a", "b": "b", "ab": "c", "top": "bot"})
+    for lat in (powerset_pq(), powerset_pqr_custom(), stacked):
+        assert validate(lat).ok
+        shortcuts = 0
+        for a in lat.elements():
+            for b in lat.elements():
+                scan = lat.big_meet([g for g in lat.elements() if b <= (a | g)])
+                assert lat.pcomp(a, b) == scan
+                shortcuts += b <= a
+        assert 0 < shortcuts < len(lat.elements()) ** 2
+
+
 def test_pcomp_distributes_over_join_in_second_arg():
     lat = powerset_pq()
     for a in lat.elements():
