@@ -7,6 +7,7 @@ not verify, a non-model, an untransformable pair), 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,7 +24,10 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="annrev",
         description="Annotated revision programming: necessary change, model checks, "

@@ -23,8 +23,13 @@ class PairMap:
     """One order isomorphism of the pair lattice over a single handle.
 
     Build via the classmethods.  Construction validates bijectivity and
-    order preservation in both directions exhaustively on finite lattices;
-    infinite lattices admit only the structurally safe identity and swap.
+    order preservation in both directions on finite lattices.  A structural
+    map (identity, swap, a permutation, or a composition of them) is an
+    order isomorphism of the pairs exactly when its permutation is an order
+    automorphism of the lattice, since the swap is an automorphism of the
+    product order; that takes ``|L|**2`` checks.  A table is checked over
+    the whole pair space.  Infinite lattices admit only the structurally
+    safe identity and swap.
     """
 
     __slots__ = ("lattice", "_perm", "_swap", "_table")
@@ -60,16 +65,22 @@ class PairMap:
         return cls(lattice, table=table)
 
     def _validate(self):
+        lat = self.lattice
         if self._perm is not None:
-            els = set(self.lattice.elements())
+            els = set(lat.elements())
             if set(self._perm) != els or set(self._perm.values()) != els:
                 raise LatticeError("permutation is not a bijection on the lattice")
-        if not self.lattice.is_finite:
+            images = [(x, self._perm[x]) for x in lat.elements()]
+            for x, px in images:
+                for y, py in images:
+                    if lat.leq(x, y) != lat.leq(px, py):
+                        raise LatticeError(
+                            f"permutation does not preserve the order at {x!r}, {y!r}")
+        if self._table is None:
             return
-        space = pair_space(self.lattice)
-        if self._table is not None:
-            if set(self._table) != set(space) or len(set(self._table.values())) != len(space):
-                raise LatticeError("table is not a bijection on the pair lattice")
+        space = pair_space(lat)
+        if set(self._table) != set(space) or len(set(self._table.values())) != len(space):
+            raise LatticeError("table is not a bijection on the pair lattice")
         images = {v: self(v) for v in space}
         for x in space:
             ix = images[x]

@@ -502,7 +502,9 @@ def _parse_iso_expr(p, lattice):
     return m
 
 
-def _parse_iso_block(p, lattice, universe):
+def _parse_iso_block(p, lattice, universe, iso_tok):
+    """The body of an ``iso`` block.  Without a ``*`` default every universe
+    atom needs its own entry; errors about coverage point at ``iso_tok``."""
     p.expect_sym("{")
     uset = set(universe)
     maps = {}
@@ -530,6 +532,10 @@ def _parse_iso_block(p, lattice, universe):
         if p.at_sym(";"):
             p.advance()
     p.expect_sym("}")
+    if default is None:
+        for a in universe:
+            if a not in maps:
+                p.sem_error(f"iso has no entry for atom {a!r} and no '*' default", iso_tok)
     return PairIso(lattice, maps, default)
 
 
@@ -601,7 +607,7 @@ def parse(text: str) -> Document:
             if lattice is None or universe is None:
                 p.sem_error("iso needs lattice and universe declarations first", t)
             p.advance()
-            iso = _parse_iso_block(p, lattice, universe)
+            iso = _parse_iso_block(p, lattice, universe, t)
         else:
             raise DslSyntaxError(f"unknown block {name!r}", t.line, t.col)
     if lattice is None:
@@ -621,7 +627,7 @@ def parse_iso(text: str, lattice, universe) -> PairIso:
     t = p.expect_ident("'iso'")
     if t.text != "iso":
         raise DslSyntaxError(f"expected an iso block, found {t.text!r}", t.line, t.col)
-    iso = _parse_iso_block(p, lattice, universe)
+    iso = _parse_iso_block(p, lattice, universe, t)
     end = p.peek()
     if end.kind != "eof":
         raise DslSyntaxError(f"unexpected trailing input {end.text!r}", end.line, end.col)

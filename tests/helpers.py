@@ -1,6 +1,7 @@
 """Shared builders for the test suite: the lattices the fixtures live on,
-random program/valuation generators, enumeration shortcuts, and the
-brute-force enumeration oracle with its literal justification check."""
+random program/valuation generators, enumeration shortcuts, the
+brute-force enumeration oracle with its literal justification check, and
+the exhaustive lattice-axiom and pair-order oracles."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from annrev import (
     NEW,
     OLD,
     AnnotatedRevisionAtom,
+    LatticeError,
     LevelChain,
     NewRule,
     OldRule,
@@ -23,6 +25,7 @@ from annrev import (
     Program,
     RevisionAtom,
     RevisionOutcome,
+    ValidationReport,
     apply_change,
     enumerate_revisions,
     f_reduct,
@@ -312,3 +315,83 @@ def grow_to_model(p, B):
             return cur
         cur = nxt
     return cur
+
+
+def axiom_scan(lat):
+    """Exhaustive axiom check of a finite lattice through ``Elem`` operators:
+    partial order, existence of all binary meets and joins plus bottom and
+    top, distributivity on every triple, the complement being an
+    order-reversing involution subject to both De Morgan laws, and, for
+    level chains, totality.  Cubic in the number of elements; the reference
+    that ``validate`` is compared against.  The report names the first
+    offender in element order."""
+    def fail(msg):
+        return ValidationReport(False, (msg,))
+
+    els = lat.elements()
+    for x in els:
+        if not lat.leq(x, x):
+            return fail(f"order not reflexive at {x!r}")
+    for x in els:
+        for y in els:
+            if lat.leq(x, y) and lat.leq(y, x) and x.key != y.key:
+                return fail(f"order not antisymmetric at {x!r}, {y!r}")
+            for z in els:
+                if lat.leq(x, y) and lat.leq(y, z) and not lat.leq(x, z):
+                    return fail(f"order not transitive at {x!r}, {y!r}, {z!r}")
+
+    for x in els:
+        for y in els:
+            try:
+                m = x & y
+                j = x | y
+            except LatticeError as exc:
+                return fail(str(exc))
+            if not (m <= x and m <= y):
+                return fail(f"meet of {x!r}, {y!r} is not a lower bound")
+            if any(z <= x and z <= y and not z <= m for z in els):
+                return fail(f"meet of {x!r}, {y!r} is not greatest")
+            if not (x <= j and y <= j):
+                return fail(f"join of {x!r}, {y!r} is not an upper bound")
+            if any(x <= z and y <= z and not j <= z for z in els):
+                return fail(f"join of {x!r}, {y!r} is not least")
+    try:
+        bot, top = lat.bot, lat.top
+    except LatticeError as exc:
+        return fail(str(exc))
+    if any(not bot <= x or not x <= top for x in els):
+        return fail("bottom or top is not a bound")
+
+    for x in els:
+        for y in els:
+            for z in els:
+                if (x & (y | z)) != ((x & y) | (x & z)):
+                    return fail(f"distributivity fails at {x!r}, {y!r}, {z!r}")
+
+    for x in els:
+        if ~~x != x:
+            return fail(f"complement not an involution at {x!r}")
+    for x in els:
+        for y in els:
+            if x <= y and not ~y <= ~x:
+                return fail(f"complement not order-reversing at {x!r}, {y!r}")
+            if ~(x | y) != (~x & ~y):
+                return fail(f"De Morgan law (join) fails at {x!r}, {y!r}")
+            if ~(x & y) != (~x | ~y):
+                return fail(f"De Morgan law (meet) fails at {x!r}, {y!r}")
+
+    if isinstance(lat, LevelChain):
+        for x in els:
+            for y in els:
+                if not (x <= y or y <= x):
+                    return fail(f"chain not totally ordered at {x!r}, {y!r}")
+    return ValidationReport(True)
+
+
+def pair_order_preserved(lat, f):
+    """Whether ``f``, a function on the pair values of ``lat``, satisfies
+    ``x <= y  <=>  f(x) <= f(y)`` on every pair of pair values: the
+    exhaustive order check of a pair map, quartic in the lattice size."""
+    space = pair_space(lat)
+    images = {v: f(v) for v in space}
+    return all((x <= y) == (images[x] <= images[y]) for x in space for y in space)

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from annrev.cli import main
+import pytest
+
+from annrev.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -202,3 +204,49 @@ def test_verify_needs_candidate(capsys):
     code, _, err = run(capsys, "verify", FIXTURES / "proposal.arp")
     assert code == 2
     assert "candidate" in err
+
+
+def test_parser_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    good = ("revise", FIXTURES / "proposal.arp", "--format", "json")
+    first = run(capsys, *good)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["revise", str(FIXTURES / "proposal.arp"), "--semantics", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(capsys, *good) == first
+
+
+@pytest.mark.parametrize("table, message", [
+    ("{}: {p,q}, {p}: {p}, {q}: {p}, {p,q}: {}",
+     "complement not an involution at {q}"),
+    ("{}: {}, {p}: {q}, {q}: {p}, {p,q}: {p,q}",
+     "complement not order-reversing at {}, {p}"),
+], ids=["not-an-involution", "cover-not-reversed"])
+def test_validate_rejects_powerset_complement_table(capsys, tmp_path, table, message):
+    doc = tmp_path / "table.arp"
+    doc.write_text("universe { a }\n"
+                   f"lattice powerset {{ p, q }} complement {{ {table} }}\n"
+                   "program { }\n")
+    assert run(capsys, "validate", doc) == (
+        2, "", f"error: line 2, col 1: invalid lattice: {message}\n")
+
+
+def test_shift_rejects_perm_that_is_not_an_order_automorphism(capsys, tmp_path):
+    doc = tmp_path / "chain.arp"
+    doc.write_text("lattice chain [c0 < c1 < c2 < c3]\nuniverse { a }\nprogram { }\n")
+    iso = tmp_path / "bad.iso"
+    iso.write_text("iso { *: perm(c0->c1, c1->c0); }\n")
+    assert run(capsys, "shift", doc, "--iso", iso) == (
+        2, "", "error: line 1, col 10: permutation does not preserve the order at c0, c1\n")
+
+
+def test_shift_rejects_iso_that_misses_an_atom(capsys, tmp_path):
+    doc = tmp_path / "two.arp"
+    doc.write_text("lattice two\nsyntax new\nuniverse { a, b }\n"
+                   "program { a:<t,f> <- b:<f,t>. }\n")
+    iso = tmp_path / "partial.iso"
+    iso.write_text("\n  iso { a: swap; }\n")
+    assert run(capsys, "shift", doc, "--iso", iso) == (
+        2, "", "error: line 2, col 3: iso has no entry for atom 'b' and no '*' default\n")

@@ -1,11 +1,13 @@
 """Pair-lattice isomorphisms, conflation preservation, and shifting."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from annrev import (
     MPT,
+    CustomLattice,
     LatticeError,
     NewRule,
     PairAnnotatedAtom,
@@ -13,6 +15,7 @@ from annrev import (
     PairMap,
     PairValuation,
     PairValue,
+    PowersetLattice,
     Program,
     TwoLattice,
     UnsupportedOperationError,
@@ -26,10 +29,13 @@ from annrev import (
     tr1,
 )
 from helpers import (
+    chain4,
     old_program,
+    pair_order_preserved,
     powerset_pq,
     powerset_pqr_custom,
     random_conflation_iso,
+    random_label_perm,
     random_new_program,
     random_valuation,
     valuation,
@@ -103,6 +109,70 @@ def test_pairmap_validation_rejects_non_order_map():
     table = dict(zip(space, shuffled))
     with pytest.raises(LatticeError):
         PairMap.from_table(lat, table)
+
+
+def _diamond():
+    return CustomLattice(
+        ("bot", "a", "b", "top"),
+        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
+        {"bot": "top", "a": "b", "b": "a", "top": "bot"})
+
+
+def _element_perms(rng, lat):
+    """Every element permutation on small lattices; on larger ones random
+    permutations, label permutations, and label permutations with two
+    images exchanged."""
+    els = list(lat.elements())
+    if len(els) <= 4:
+        return [dict(zip(els, images)) for images in permutations(els)]
+    out = []
+    for _ in range(40):
+        images = els[:]
+        rng.shuffle(images)
+        out.append(dict(zip(els, images)))
+        perm = random_label_perm(rng, lat)
+        out.append(perm)
+        a, b = rng.sample(els, 2)
+        perm = dict(perm)
+        perm[a], perm[b] = perm[b], perm[a]
+        out.append(perm)
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: PowersetLattice(("p", "q", "r")), chain4, _diamond])
+def test_structural_pairmap_matches_pair_space_check(make):
+    rng = random.Random(13)
+    lat = make()
+    accepted = []
+    rejected = 0
+    for perm in _element_perms(rng, lat):
+        for swap in (False, True):
+            def f(v, perm=perm, swap=swap):
+                pos, neg = (v.neg, v.pos) if swap else (v.pos, v.neg)
+                return PairValue(perm[pos], perm[neg])
+            expected = pair_order_preserved(lat, f)
+            try:
+                m = PairMap.from_permutation(lat, perm, swap=swap)
+            except LatticeError:
+                assert not expected
+                rejected += 1
+            else:
+                assert expected
+                accepted.append(m)
+    assert accepted and rejected
+    for m in accepted[:6]:
+        for n in accepted[:6]:
+            both = m.then(n)
+            assert both.is_structural() and pair_order_preserved(lat, both)
+
+
+def test_pairmap_rejects_non_automorphism_with_witness():
+    lat = chain4()
+    c = {e.key: e for e in lat.elements()}
+    perm = {e: e for e in lat.elements()}
+    perm[c[0]], perm[c[1]] = c[1], c[0]
+    with pytest.raises(LatticeError, match=r"^permutation does not preserve the order at c0, c1$"):
+        PairMap.from_permutation(lat, perm, swap=True)
 
 
 def test_pairmap_rejects_permutation_on_infinite_lattice():

@@ -1,5 +1,6 @@
 """Lattice axioms, element operations, and the pair lattice."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from annrev import (
     TwoLattice,
     UnitChain,
     UnsupportedOperationError,
+    ValidationReport,
     bot_pair,
     negation,
     pair_space,
@@ -23,7 +25,7 @@ from annrev import (
     top_pair,
     validate,
 )
-from helpers import powerset_pq, powerset_pqr_custom
+from helpers import axiom_scan, powerset_pq, powerset_pqr_custom
 
 unit = UnitChain()
 
@@ -78,6 +80,155 @@ def test_validate_rejects_non_involution():
 
 def test_validate_unit_chain():
     assert validate(unit).ok
+
+
+def _product_decl(m, n):
+    """Names, order pairs and the reversing complement of an m x n grid of
+    chains; a 1 x n grid is a chain and 2 x 2 the diamond."""
+    coords = [(i, j) for i in range(m) for j in range(n)]
+    names = {c: f"x{c[0]}y{c[1]}" for c in coords}
+    order = [(names[a], names[b]) for a in coords for b in coords
+             if a != b and a[0] <= b[0] and a[1] <= b[1]]
+    comp = {names[(i, j)]: names[(m - 1 - i, n - 1 - j)] for i, j in coords}
+    return list(names.values()), order, comp
+
+
+# M3 and N5, the two non-distributive five-element lattices.
+_M3 = (["bot", "a", "b", "c", "top"],
+       [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"), ("c", "top")],
+       {"bot": "top", "a": "a", "b": "c", "c": "b", "top": "bot"})
+_N5 = (["bot", "a", "b", "c", "top"],
+       [("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")],
+       {"bot": "top", "a": "c", "b": "c", "c": "a", "top": "bot"})
+
+
+def _random_involution(rng, items):
+    items = list(items)
+    rng.shuffle(items)
+    out = {}
+    while items:
+        a = items.pop()
+        b = items.pop() if items and rng.random() < 0.7 else a
+        out[a], out[b] = b, a
+    return out
+
+
+def _random_table(rng, names, comp):
+    """The given complement, or it with two images swapped, or a random
+    map, or a random involution."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return dict(comp)
+    if kind == 1:
+        a, b = rng.sample(names, 2) if len(names) > 1 else (names[0], names[0])
+        out = dict(comp)
+        out[a], out[b] = comp[b], comp[a]
+        return out
+    if kind == 2:
+        return {a: rng.choice(names) for a in names}
+    return _random_involution(rng, names)
+
+
+def _random_custom(rng):
+    """A custom lattice of 1-7 elements in shuffled element order: a grid of
+    chains, M3 or N5 under a varied complement, or a random relation (cycles
+    included) under a random complement."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        n = rng.randint(1, 7)
+        names = [f"e{i}" for i in range(n)]
+        forward = rng.random() < 0.7
+        order = [(a, b) for i, a in enumerate(names) for j, b in enumerate(names)
+                 if a != b and (i < j or not forward) and rng.random() < 0.4]
+        comp = {a: rng.choice(names) for a in names}
+    else:
+        if shape == 1:
+            m = rng.randint(1, 3)
+            names, order, comp = _product_decl(m, rng.randint(1, 7 // m))
+        else:
+            names, order, comp = _M3 if shape == 2 else _N5
+        comp = _random_table(rng, names, comp)
+    names = list(names)
+    rng.shuffle(names)
+    return CustomLattice(names, order, comp)
+
+
+def test_validate_matches_axiom_scan_on_random_custom_lattices():
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(600):
+        lat = _random_custom(rng)
+        report = validate(lat)
+        expected = axiom_scan(lat)
+        assert (report.ok, report.failures) == (expected.ok, expected.failures)
+        kinds.add(expected.failures[0].split(" at ")[0] if expected.failures else "ok")
+    # the generator reaches the valid case and failures of every stage
+    assert {"ok", "order not antisymmetric", "distributivity fails",
+            "complement not an involution", "complement not order-reversing"} <= kinds
+    assert any(k.startswith(("no meet", "no join")) for k in kinds)
+
+
+def _powerset_tables(rng, labels):
+    """Complement tables over the subsets of ``labels``: ``S -> full -
+    sigma(S)`` for a random label permutation sigma, the same with two
+    entries swapped, a random bijection, and a random involution."""
+    subsets = [frozenset()]
+    for l in labels:
+        subsets += [s | {l} for s in subsets]
+    full = frozenset(labels)
+    shuffled = list(labels)
+    rng.shuffle(shuffled)
+    sigma = dict(zip(labels, shuffled))
+    table = {s: full - {sigma[l] for l in s} for s in subsets}
+    a, b = rng.sample(subsets, 2)
+    swapped = dict(table)
+    swapped[a], swapped[b] = table[b], table[a]
+    images = subsets[:]
+    rng.shuffle(images)
+    return [table, swapped, dict(zip(subsets, images)), _random_involution(rng, subsets)]
+
+
+def test_validate_matches_axiom_scan_on_powerset_tables():
+    # The involution check reports the same first offender as the scan;
+    # past it, validate names a reversed cover where the scan names its
+    # first failing pair, so there only acceptance and the witness are
+    # compared.
+    rng = random.Random(21)
+    seen = {True: 0, "involution": 0, "cover": 0}
+    for _ in range(150):
+        labels = tuple("pqrs"[:rng.randint(2, 4)])
+        for table in _powerset_tables(rng, labels):
+            lat = PowersetLattice(labels, table)
+            report = validate(lat)
+            expected = axiom_scan(lat)
+            assert report.ok == expected.ok
+            if expected.ok:
+                assert report.failures == ()
+                seen[True] += 1
+            elif "involution" in expected.failures[0]:
+                assert report.failures == expected.failures
+                seen["involution"] += 1
+            else:
+                covers = [(x, y) for x in lat.elements() for y in lat.elements()
+                          if x < y and len(y.key - x.key) == 1]
+                witnesses = [f"complement not order-reversing at {x!r}, {y!r}"
+                             for x, y in covers if not ~y <= ~x]
+                assert len(report.failures) == 1 and report.failures[0] in witnesses
+                seen["cover"] += 1
+    assert min(seen.values()) >= 10
+
+
+@pytest.mark.parametrize("make", [TwoLattice] + [
+    lambda n=n: LevelChain(tuple(f"c{i}" for i in range(n))) for n in range(1, 9)])
+def test_validate_chains_valid_as_built(make):
+    lat = make()
+    assert validate(lat) == axiom_scan(lat) == ValidationReport(True)
+
+
+def test_validate_default_powersets_valid_as_built():
+    for n in range(1, 5):
+        lat = PowersetLattice(tuple("pqrs"[:n]))
+        assert validate(lat) == axiom_scan(lat) == ValidationReport(True)
 
 
 # --- core operations --------------------------------------------------------

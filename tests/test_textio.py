@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,18 @@ def test_iso_entries_validate():
         parse_iso("iso { a: perm(p->q); }", doc.lattice, doc.universe)  # not a bijection
 
 
+def test_iso_without_default_must_cover_the_universe():
+    doc = parse("lattice two\nuniverse { a, b, c }\nprogram { }\n")
+    with pytest.raises(DslSemanticError) as exc:
+        parse_iso("iso { b: swap; }", doc.lattice, doc.universe)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        "iso has no entry for atom 'a' and no '*' default", 1, 1)
+    with pytest.raises(DslSemanticError, match=r"^line 3, col 1: .*atom 'c'"):
+        parse("lattice two\nuniverse { b, c, a }\niso { a: id; b: swap; }\nprogram { }\n")
+    parse_iso("iso { a: id; b: swap; c: id; }", doc.lattice, doc.universe)
+    parse_iso("iso { b: swap; *: id; }", doc.lattice, doc.universe)
+
+
 def test_iso_star_default_and_composition():
     doc = parse("lattice powerset { p, q }\nuniverse { a, b }\nprogram { }\n")
     iso = parse_iso("iso { a: perm(p->q, q->p) swap; *: id; }",
@@ -207,3 +220,23 @@ def test_serialization_orders_valuations_canonically():
                 "init { b = <t, f>. a = <f, t>. }\n")
     text = serialize(doc.init)
     assert text.index("a =") < text.index("b =")
+
+
+@pytest.mark.parametrize("with_table", [False, True])
+def test_twelve_label_powerset_parses_in_bounded_time(with_table):
+    # PowersetLattice.MAX_LABELS is 12; validation must stay far below the
+    # cubic scan there.  The table is S -> full - sigma(S) for the label
+    # involution swapping l0<->l1, l2<->l3, ... (about 180 KB of text).
+    labels = [f"l{i}" for i in range(12)]
+    decl = "lattice powerset { " + ", ".join(labels) + " }"
+    if with_table:
+        def fmt(s):
+            return "{" + ",".join(labels[i] for i in range(12) if s >> i & 1) + "}"
+        swapped = [(s & 0x555) << 1 | (s & 0xAAA) >> 1 for s in range(1 << 12)]
+        decl += " complement { " + ", ".join(
+            f"{fmt(s)}: {fmt(0xFFF ^ swapped[s])}" for s in range(1 << 12)) + " }"
+    t0 = time.perf_counter()
+    doc = parse(decl + "\nuniverse { a }\nprogram { }\n")
+    assert time.perf_counter() - t0 < 5.0
+    assert len(doc.lattice.elements()) == 4096
+    assert doc.lattice.has_custom_complement == with_table
