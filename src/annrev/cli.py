@@ -16,8 +16,8 @@ from .engine import FITTING, MPT
 from .isomorphism import apply_iso
 from .lattice import LatticeError, UnsupportedOperationError, validate
 from .syntax import NEW, OLD, tr1, tr2
+from .valuation import apply_change
 from .valuation import diff as valuation_diff
-from .valuation import transformable
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -63,9 +63,19 @@ def build_parser():
     return ap
 
 
-def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        return textio.parse(fh.read())
+def _read(path):
+    """A file's text as UTF-8 with universal newlines, the way text-mode
+    ``open`` reads it; bytes that are not UTF-8 raise a ``DslLexError`` at
+    the line and column of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        raise textio.DslLexError(f"invalid UTF-8 byte {data[e.start]:#04x}",
+                                 head.count("\n") + 1, len(head) - head.rfind("\n"))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _need(doc, which, command):
@@ -166,29 +176,21 @@ def _print_enumeration(semantics, outcomes):
 
 def _cmd_revise(doc, args):
     init = _need(doc, "init", "revise")
-    if args.semantics == "both":
-        mpt_out, mpt_stats = _run_enumeration(doc, init, MPT, args)
-        fit_out, fit_stats = _run_enumeration(doc, init, FITTING, args)
-        agree = ([o.candidate for o in mpt_out] == [o.candidate for o in fit_out])
-        if args.format == "json":
-            payload = {
-                "semantics": "both",
-                "mpt": textio.revisions_to_json(MPT, mpt_out, mpt_stats),
-                "fitting": textio.revisions_to_json(FITTING, fit_out, fit_stats),
-                "agreement": agree,
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            _print_enumeration(MPT, mpt_out)
-            _print_enumeration(FITTING, fit_out)
-            print(f"agreement: {str(agree).lower()}")
-        return EXIT_OK
-    outcomes, stats = _run_enumeration(doc, init, args.semantics, args)
+    semantics = [MPT, FITTING] if args.semantics == "both" else [args.semantics]
+    runs = {s: _run_enumeration(doc, init, s, args) for s in semantics}
+    found = [[o.candidate for o in outcomes] for outcomes, _ in runs.values()]
     if args.format == "json":
-        print(json.dumps(textio.revisions_to_json(args.semantics, outcomes, stats),
-                         indent=2))
+        reports = {s: textio.revisions_to_json(s, *run) for s, run in runs.items()}
+        if len(runs) > 1:
+            payload = {"semantics": "both", **reports, "agreement": found[0] == found[1]}
+        else:
+            (payload,) = reports.values()
+        print(json.dumps(payload, indent=2))
     else:
-        _print_enumeration(args.semantics, outcomes)
+        for s, (outcomes, _) in runs.items():
+            _print_enumeration(s, outcomes)
+        if len(runs) > 1:
+            print(f"agreement: {str(found[0] == found[1]).lower()}")
     return EXIT_OK
 
 
@@ -205,8 +207,7 @@ def _cmd_translate(doc, args):
 
 
 def _cmd_shift(doc, args):
-    with open(args.iso, encoding="utf-8") as fh:
-        iso = textio.parse_iso(fh.read(), doc.lattice, doc.universe)
+    iso = textio.parse_iso(_read(args.iso), doc.lattice, doc.universe)
     prog = doc.program
     if prog.syntax == OLD:
         print("note: translating the program to pair syntax before shifting",
@@ -227,8 +228,8 @@ def _cmd_shift(doc, args):
 def _cmd_diff(doc, args):
     init = _need(doc, "init", "diff")
     cand = _need(doc, "candidate", "diff")
-    ok = transformable(init, cand)
     d = valuation_diff(cand, init)
+    ok = apply_change(init, d) == cand
     if args.format == "json":
         print(json.dumps({"transformable": ok, "diff": textio.valuation_to_json(d)},
                          indent=2))
@@ -254,7 +255,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = _load(args.input)
+        doc = textio.parse(_read(args.input))
         return _COMMANDS[args.command](doc, args)
     except (textio.DslError, engine.CapExceededError, UnsupportedOperationError,
             LatticeError, OSError) as e:

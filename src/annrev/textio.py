@@ -17,13 +17,19 @@ arrow: ``in(b):{q} <- .``  Unit-chain annotations are exact rationals;
 decimal literals convert exactly on input and serialize as fractions.  The
 serializer emits a canonical form: atoms sorted, elements in their handle's
 element order, rules in source order.
+
+One compiled regular expression splits the text into tokens, each with its
+line and column; a recursive-descent parser reads them, with one loop for
+every ``{ item, ... }`` list and one for every ``< x, y >`` pair.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .isomorphism import PairIso, PairMap
 from .lattice import (
@@ -75,69 +81,45 @@ class DslSemanticError(DslError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | sym | eof
     text: str
     line: int
     col: int
 
 
-_TWO_CHAR = ("<-", "->")
-_ONE_CHAR = set("{}[]()<>,:;.=*/")
+# One alternative per token class, tried in order.  Blanks and comments
+# match no named group and are dropped.  ``ident`` also admits the numeric
+# characters that are not decimal digits (such as ``²``) as a first
+# character, because ``\w`` does; ``_lex`` rejects those, so identifiers
+# start with a letter or ``_``.  ``\d`` is exactly the decimal digits that
+# ``int`` and ``Fraction`` accept.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<sym><-|->|[{}\[\]()<>,:;.=*/])"
+    r"|(?P<bad>.)", re.DOTALL)
 
 
 def _lex(text):
+    """The tokens of ``text``, ending in ``eof``; a character that starts no
+    token raises ``DslLexError`` at its line and column."""
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            tokens.append(Token("sym", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token("sym", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslLexError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        tok = m.group()
+        if kind == "bad" or kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise DslLexError(f"unexpected character {tok[0]!r}", line, m.start() - start + 1)
+        tokens.append(Token(kind, tok, line, m.start() - start + 1))
+    tokens.append(Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -196,41 +178,42 @@ class Document:
     iso: PairIso | None = None
 
 
-def _parse_label_list(p):
-    """Brace-enclosed comma-separated identifiers, order preserved."""
+def _braced(p, item):
+    """``{ item (, item)* ,? }``: the list of what ``item()`` returns, one
+    call per entry.  Each ``item`` raises its own errors, duplicates
+    included."""
     p.expect_sym("{")
     out = []
     while not p.at_sym("}"):
-        t = p.expect_ident()
-        if t.text in out:
-            p.sem_error(f"duplicate name {t.text!r}", t)
-        out.append(t.text)
-        if p.at_sym(","):
-            p.advance()
-        else:
+        out.append(item())
+        if not p.at_sym(","):
             break
+        p.advance()
     p.expect_sym("}")
-    return tuple(out)
+    return out
+
+
+def _parse_label_list(p):
+    """Brace-enclosed comma-separated identifiers, order preserved."""
+    seen = set()
+
+    def label():
+        t = p.expect_ident()
+        if t.text in seen:
+            p.sem_error(f"duplicate name {t.text!r}", t)
+        seen.add(t.text)
+        return t.text
+    return tuple(_braced(p, label))
 
 
 def _parse_set_literal(p):
-    p.expect_sym("{")
-    out = []
-    while not p.at_sym("}"):
-        t = p.expect_ident("a label")
-        out.append(t.text)
-        if p.at_sym(","):
-            p.advance()
-        else:
-            break
-    p.expect_sym("}")
-    return frozenset(out)
+    return frozenset(_braced(p, lambda: p.expect_ident("a label").text))
 
 
 def _parse_set_table(p):
-    p.expect_sym("{")
     table = {}
-    while not p.at_sym("}"):
+
+    def entry():
         tok = p.peek()
         k = _parse_set_literal(p)
         p.expect_sym(":")
@@ -238,11 +221,7 @@ def _parse_set_table(p):
         if k in table:
             p.sem_error("duplicate complement entry", tok)
         table[k] = v
-        if p.at_sym(","):
-            p.advance()
-        else:
-            break
-    p.expect_sym("}")
+    _braced(p, entry)
     return table
 
 
@@ -283,35 +262,25 @@ def _parse_lattice(p):
         kw = p.expect_ident("'order'")
         if kw.text != "order":
             p.sem_error("expected an order block", kw)
-        p.expect_sym("{")
-        pairs = []
-        while not p.at_sym("}"):
+
+        def cover():
             a = p.expect_ident("an element name")
             p.expect_sym("<")
-            b = p.expect_ident("an element name")
-            pairs.append((a.text, b.text))
-            if p.at_sym(","):
-                p.advance()
-            else:
-                break
-        p.expect_sym("}")
+            return a.text, p.expect_ident("an element name").text
+        pairs = _braced(p, cover)
         kw = p.expect_ident("'complement'")
         if kw.text != "complement":
             p.sem_error("expected a complement block", kw)
-        p.expect_sym("{")
         comp = {}
-        while not p.at_sym("}"):
+
+        def comp_entry():
             a = p.expect_ident("an element name")
             p.expect_sym(":")
             b = p.expect_ident("an element name")
             if a.text in comp:
                 p.sem_error(f"duplicate complement entry for {a.text!r}", a)
             comp[a.text] = b.text
-            if p.at_sym(","):
-                p.advance()
-            else:
-                break
-        p.expect_sym("}")
+        _braced(p, comp_entry)
         p.expect_sym("}")
         try:
             return CustomLattice(names, pairs, comp)
@@ -379,17 +348,22 @@ def _parse_old_atom(p, lattice, uset):
     return AnnotatedRevisionAtom(RevisionAtom(t.text, at.text), ann)
 
 
-def _parse_new_atom(p, lattice, uset):
-    at = p.expect_ident("an atom name")
-    if at.text not in uset:
-        p.sem_error(f"undeclared atom {at.text!r}", at)
-    p.expect_sym(":")
+def _parse_pair(p, lattice):
+    """``< x , y >``: one evidence pair."""
     p.expect_sym("<")
     x = _parse_element(p, lattice)
     p.expect_sym(",")
     y = _parse_element(p, lattice)
     p.expect_sym(">")
-    return PairAnnotatedAtom(at.text, PairValue(x, y))
+    return PairValue(x, y)
+
+
+def _parse_new_atom(p, lattice, uset):
+    at = p.expect_ident("an atom name")
+    if at.text not in uset:
+        p.sem_error(f"undeclared atom {at.text!r}", at)
+    p.expect_sym(":")
+    return PairAnnotatedAtom(at.text, _parse_pair(p, lattice))
 
 
 def _parse_program(p, lattice, syntax, universe):
@@ -425,13 +399,8 @@ def _parse_valuation(p, lattice, universe):
         if at.text in entries:
             p.sem_error(f"duplicate entry for atom {at.text!r}", at)
         p.expect_sym("=")
-        p.expect_sym("<")
-        x = _parse_element(p, lattice)
-        p.expect_sym(",")
-        y = _parse_element(p, lattice)
-        p.expect_sym(">")
+        entries[at.text] = _parse_pair(p, lattice)
         p.expect_sym(".")
-        entries[at.text] = PairValue(x, y)
     p.expect_sym("}")
     return PairValuation.build(lattice, universe, entries)
 

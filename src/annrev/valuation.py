@@ -3,7 +3,9 @@
 A pair valuation maps every universe atom to an evidence pair; a plain
 valuation maps every revision atom to a single strength.  The two views are
 interchangeable through theta.  This module also houses satisfaction, the
-application of a change valuation, and the least-change difference.
+application of a change valuation, and the least-change difference: one
+scan per atom over the pairs below the target, with transformability
+read off its result.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from .lattice import (
     PairValue,
     UnsupportedOperationError,
     bot_pair,
-    pair_space,
     top_pair,
 )
 from .syntax import (
@@ -232,40 +233,22 @@ def apply_change(B: PairValuation, C: PairValuation) -> PairValuation:
     return (B & -C) | C
 
 
-def _chain_pair_candidates(lat, pairs):
-    """Finite sublattice of the chain generated by the given pair components
-    under meet, join, and complement: the components, their complements, and
-    the chain bounds.  The least change valuation lives there."""
-    keys = {lat.bot.key, lat.top.key}
-    for pv in pairs:
-        keys.add(pv.pos.key)
-        keys.add(pv.neg.key)
-    keys |= {1 - k for k in keys}
-    els = [lat.element(k) for k in sorted(keys)]
-    return tuple(PairValue(p, n) for p in els for n in els)
-
-
-def _atom_solutions(r, b, candidates):
-    return [c for c in candidates if ((b & -c) | c) == r]
-
-
-def _candidates_for(lat, r, b):
+def _diff_elements(lat, r, b):
+    """The elements a least change at one atom is built from: every element
+    of a finite lattice; on the unit chain, the chain bounds and the
+    components of ``r`` and ``b``, closed under complement.  Those form a
+    sublattice of the chain that holds the least solution."""
     if lat.is_finite:
-        return pair_space(lat)
-    return _chain_pair_candidates(lat, (r, b))
+        return lat.elements()
+    keys = {lat.bot.key, lat.top.key, r.pos.key, r.neg.key, b.pos.key, b.neg.key}
+    return [lat.element(k) for k in keys | {1 - k for k in keys}]
 
 
 def transformable(B: PairValuation, R: PairValuation) -> bool:
-    """Whether some change valuation turns B into R."""
-    if R.lattice is not B.lattice:
-        raise LatticeMismatchError("valuations over different lattices")
-    lat = B.lattice
-    space = pair_space(lat) if lat.is_finite else None
-    for a in B.atoms:
-        cands = space if space is not None else _candidates_for(lat, R[a], B[a])
-        if not any(((B[a] & -c) | c) == R[a] for c in cands):
-            return False
-    return True
+    """Whether some change valuation turns B into R.  Exact through
+    ``diff``: when no change does, ``diff`` returns all-top, and an all-top
+    ``R`` is always reachable."""
+    return apply_change(B, diff(R, B)) == R
 
 
 def diff(R: PairValuation, B: PairValuation) -> PairValuation:
@@ -273,24 +256,26 @@ def diff(R: PairValuation, B: PairValuation) -> PairValuation:
     valuation when no change valuation does.
 
     The search is pointwise: per atom, the meet of all solutions is itself a
-    solution on a validated distributive lattice.  On the rational chain the
-    search is restricted to the finite sublattice generated by the values
-    that occur; the least solution provably lies there.
+    solution on a validated distributive lattice.  Every solution ``c`` of
+    ``(b & -c) | c == r`` lies below ``r``, so one scan over the pairs below
+    ``r`` built from ``_diff_elements`` finds them all.
     """
     if R.lattice is not B.lattice:
         raise LatticeMismatchError("valuations over different lattices")
     if R.atoms != B.atoms:
         raise ValueError("valuations over different universes")
     lat = B.lattice
-    space = pair_space(lat) if lat.is_finite else None
     out = {}
     for a in B.atoms:
-        cands = space if space is not None else _candidates_for(lat, R[a], B[a])
-        sols = _atom_solutions(R[a], B[a], cands)
+        r, b = R[a], B[a]
+        els = _diff_elements(lat, r, b)
+        xs = [x for x in els if x <= r.pos]
+        ys = [y for y in els if y <= r.neg]
+        sols = [c for c in (PairValue(x, y) for x in xs for y in ys) if ((b & -c) | c) == r]
         if not sols:
             return PairValuation.top(lat, B.atoms)
         m = PairValue(lat.big_meet(s.pos for s in sols), lat.big_meet(s.neg for s in sols))
-        if ((B[a] & -m) | m) != R[a]:
+        if ((b & -m) | m) != r:
             if lat.is_finite:
                 raise LatticeError("least difference not attained; lattice may be non-distributive")
             raise UnsupportedOperationError(

@@ -1,7 +1,9 @@
 """Shared builders for the test suite: the lattices the fixtures live on,
 random program/valuation generators, enumeration shortcuts, the
-brute-force enumeration oracle with its literal justification check, and
-the exhaustive lattice-axiom and pair-order oracles."""
+brute-force enumeration oracle with its literal justification check, the
+exhaustive lattice-axiom and pair-order oracles, and the
+character-by-character lexer and full pair-space difference that the
+library's regex lexer and least-change scan are compared against."""
 
 import random
 from fractions import Fraction
@@ -13,6 +15,7 @@ from annrev import (
     OLD,
     AnnotatedRevisionAtom,
     LatticeError,
+    LatticeMismatchError,
     LevelChain,
     NewRule,
     OldRule,
@@ -25,6 +28,7 @@ from annrev import (
     Program,
     RevisionAtom,
     RevisionOutcome,
+    UnsupportedOperationError,
     ValidationReport,
     apply_change,
     enumerate_revisions,
@@ -33,6 +37,7 @@ from annrev import (
     reduct,
     satisfies,
 )
+from annrev.textio import DslLexError, Token
 
 PQR_COMPLEMENT = {
     frozenset(): frozenset("pqr"),
@@ -395,3 +400,106 @@ def pair_order_preserved(lat, f):
     space = pair_space(lat)
     images = {v: f(v) for v in space}
     return all((x <= y) == (images[x] <= images[y]) for x in space for y in space)
+
+
+def oracle_lex(text):
+    """Character-by-character tokenizer of the document format: the
+    reference for ``textio._lex``.  A comment does not advance the column,
+    so the ``eof`` token after a final comment with no newline sits at the
+    column of its ``#``."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            tokens.append(Token("number", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if text[i:i + 2] in ("<-", "->"):
+            tokens.append(Token("sym", text[i:i + 2], line, col))
+            i += 2
+            col += 2
+            continue
+        if c in "{}[]()<>,:;.=*/":
+            tokens.append(Token("sym", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise DslLexError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def _oracle_candidates(lat, r, b):
+    """Per-atom search space of the difference oracle: every pair on a
+    finite lattice; on the unit chain, every pair over the chain bounds,
+    the components of ``r`` and ``b`` and their complements."""
+    if lat.is_finite:
+        return pair_space(lat)
+    keys = {lat.bot.key, lat.top.key, r.pos.key, r.neg.key, b.pos.key, b.neg.key}
+    keys |= {1 - k for k in keys}
+    return _pairs(lat, [lat.element(k) for k in sorted(keys)])
+
+
+def oracle_transformable(B, R):
+    """Whether some change valuation turns B into R, by trying every
+    candidate pair at every atom."""
+    if R.lattice is not B.lattice:
+        raise LatticeMismatchError("valuations over different lattices")
+    return all(
+        any(((B[a] & -c) | c) == R[a] for c in _oracle_candidates(B.lattice, R[a], B[a]))
+        for a in B.atoms)
+
+
+def oracle_diff(R, B):
+    """Least change valuation turning B into R, or all-top when none does:
+    per atom, the meet of every solution in the full candidate space."""
+    if R.lattice is not B.lattice:
+        raise LatticeMismatchError("valuations over different lattices")
+    if R.atoms != B.atoms:
+        raise ValueError("valuations over different universes")
+    lat = B.lattice
+    out = {}
+    for a in B.atoms:
+        sols = [c for c in _oracle_candidates(lat, R[a], B[a]) if ((B[a] & -c) | c) == R[a]]
+        if not sols:
+            return PairValuation.top(lat, B.atoms)
+        m = PairValue(lat.big_meet(s.pos for s in sols), lat.big_meet(s.neg for s in sols))
+        if ((B[a] & -m) | m) != R[a]:
+            if lat.is_finite:
+                raise LatticeError("least difference not attained; "
+                                   "lattice may be non-distributive")
+            raise UnsupportedOperationError(
+                f"difference at atom {a!r} falls outside the supported chain fragment")
+        out[a] = m
+    return PairValuation(lat, out)

@@ -250,3 +250,37 @@ def test_shift_rejects_iso_that_misses_an_atom(capsys, tmp_path):
     iso.write_text("\n  iso { a: swap; }\n")
     assert run(capsys, "shift", doc, "--iso", iso) == (
         2, "", "error: line 2, col 3: iso has no entry for atom 'b' and no '*' default\n")
+
+
+def test_non_decimal_digit_is_a_located_input_error(capsys, tmp_path):
+    doc = tmp_path / "sup.arp"
+    doc.write_text("lattice chain unit\nuniverse { a }\nprogram {\n  in(a):² <- .\n}\n",
+                   encoding="utf-8")
+    assert run(capsys, "nc", doc) == (
+        2, "", "error: line 4, col 9: unexpected character '²'\n")
+    # Decimal digits of other scripts are digits that int() reads.
+    doc.write_text("lattice chain unit\nuniverse { a }\nprogram { in(a):٣/٤ <- . }\n",
+                   encoding="utf-8")
+    assert run(capsys, "nc", doc) == (0, "necessary change:\n  a = <3/4, 0>.\n", "")
+
+
+def test_document_not_utf8_is_a_located_input_error(capsys, tmp_path):
+    doc = tmp_path / "latin1.arp"
+    doc.write_bytes(b"lattice two\r\nuniverse { a\xe9 }\nprogram { }\n")
+    assert run(capsys, "validate", doc) == (
+        2, "", "error: line 2, col 13: invalid UTF-8 byte 0xe9\n")
+
+
+def test_iso_not_utf8_is_a_located_input_error(capsys, tmp_path):
+    iso = tmp_path / "bad.iso"
+    iso.write_bytes(b"iso {\n  *: id\xff; }\n")
+    assert run(capsys, "shift", FIXTURES / "shift_cex.arp", "--iso", iso) == (
+        2, "", "error: line 2, col 8: invalid UTF-8 byte 0xff\n")
+
+
+def test_diff_untransformable_exit_code(capsys, tmp_path):
+    doc = tmp_path / "untransformable.arp"
+    doc.write_text("lattice powerset { p }\nuniverse { a, b }\nprogram { }\n"
+                   "init { a = <{p}, {p}>. }\ncandidate { b = <{p}, {}>. }\n")
+    assert run(capsys, "diff", doc) == (
+        1, "transformable: false\ndiff:\n  a = <{p}, {p}>.\n  b = <{p}, {p}>.\n", "")

@@ -17,7 +17,14 @@ from annrev import (
     parse_iso,
     serialize,
 )
-from helpers import powerset_pq, random_new_program, random_old_program, random_valuation
+from annrev.textio import _lex
+from helpers import (
+    oracle_lex,
+    powerset_pq,
+    random_new_program,
+    random_old_program,
+    random_valuation,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -240,3 +247,95 @@ def test_twelve_label_powerset_parses_in_bounded_time(with_table):
     assert time.perf_counter() - t0 < 5.0
     assert len(doc.lattice.elements()) == 4096
     assert doc.lattice.has_custom_complement == with_table
+
+
+def _lex_result(lex, text):
+    try:
+        return lex(text)
+    except DslLexError as e:
+        return str(e)
+
+
+def _assert_lexes_like_oracle(text):
+    got, want = _lex_result(_lex, text), _lex_result(oracle_lex, text)
+    if got != want and isinstance(got, list) and isinstance(want, list):
+        # The oracle does not advance the column over a comment, so its
+        # eof after a final comment with no newline sits at the '#'.
+        last = text[text.rfind("\n") + 1:]
+        assert got[:-1] == want[:-1]
+        assert want[-1] == ("eof", "", got[-1].line, last.index("#") + 1)
+        assert got[-1].col == len(last) + 1
+        return
+    assert got == want
+
+
+def test_lexer_matches_character_oracle():
+    rng = random.Random(23)
+    docs = [fixture_text(p.name) for p in sorted(FIXTURES.glob("*.arp"))]
+    docs.append(fixture_text("shift_cex.iso"))
+    pieces = [chr(c) for c in range(128)] + [
+        "é", "٣", " ", "\n", "#", "<-", "->", "1.5", "in(a)", "0.", "x_1"]
+    for text in docs:
+        _assert_lexes_like_oracle(text)
+        _assert_lexes_like_oracle(text.rstrip("\n") + "  # trailing comment")
+    for _ in range(20000):
+        _assert_lexes_like_oracle(
+            "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12))))
+    for _ in range(2000):
+        text = rng.choice(docs)
+        k = rng.randrange(len(text) + 1)
+        _assert_lexes_like_oracle(
+            text[:k] + rng.choice(pieces) + text[k + rng.randint(0, 3):])
+
+
+_HEAD = "lattice two\nuniverse { a }\n"
+_UNIT = "lattice chain unit\nuniverse { a }\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (_HEAD + "program { } @\n", DslLexError, "line 3, col 13: unexpected character '@'"),
+    (_UNIT + "program {\n  in(a):² <- .\n}\n", DslLexError,
+     "line 4, col 9: unexpected character '²'"),
+    (_UNIT + "program { in(a):1² <- . }\n", DslLexError,
+     "line 3, col 18: unexpected character '²'"),
+    ("lattice two\nuniverse { ½ }\n", DslLexError, "line 2, col 12: unexpected character '½'"),
+    ("lattice two\nuniverse a\n", DslSyntaxError, "line 2, col 10: expected '{', found 'a'"),
+    ("lattice two\nuniverse { a", DslSyntaxError,
+     "line 2, col 13: expected '}', found 'end of input'"),
+    ("lattice two\nuniverse { , }\n", DslSyntaxError, "line 2, col 12: expected a name, found ','"),
+    ("lattice lumpy\n", DslSyntaxError, "line 1, col 9: unknown lattice kind 'lumpy'"),
+    (_UNIT + "program { in(a):1/0.5 <- . }\n", DslSyntaxError,
+     "line 3, col 19: expected an integer denominator"),
+    (_HEAD + "program { in(a): <- . }\n", DslSyntaxError,
+     "line 3, col 18: expected an annotation, found '<-'"),
+    (_HEAD + "program { inn(a):t <- . }\n", DslSyntaxError,
+     "line 3, col 11: expected 'in' or 'out', found 'inn'"),
+    (_HEAD + "iso { a: ; }\n", DslSyntaxError,
+     "line 3, col 10: expected an isomorphism: id, swap, or perm(...)"),
+    ("{ }\n", DslSyntaxError, "line 1, col 1: expected a declaration, found '{'"),
+    (_HEAD + "mystery { }\n", DslSyntaxError, "line 3, col 1: unknown block 'mystery'"),
+    # The eof column after a final comment is the true end of the line.
+    (_HEAD + "program { # end", DslSyntaxError,
+     "line 3, col 16: expected 'in' or 'out', found 'end of input'"),
+], ids=["bad-char", "superscript", "superscript-after-digit", "vulgar-fraction",
+        "expected-sym", "expected-sym-at-eof", "expected-ident", "lattice-kind",
+        "denominator", "annotation", "polarity", "iso-expr", "declaration", "block",
+        "eof-after-comment"])
+def test_document_error_texts(text, error, message):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("isomorphism { }", "line 1, col 1: expected an iso block, found 'isomorphism'"),
+    ("\n  iso { *: id; } x", "line 2, col 18: unexpected trailing input 'x'"),
+    ("iso { *: perm(a->b,) }", "line 1, col 20: expected a name, found ')'"),
+    ("iso { *: perm() }", "line 1, col 15: expected a name, found ')'"),
+])
+def test_iso_error_texts(text, message):
+    doc = parse("lattice chain [a < b]\nuniverse { x }\nprogram { }\n")
+    with pytest.raises(DslSyntaxError) as exc:
+        parse_iso(text, doc.lattice, doc.universe)
+    assert str(exc.value) == message

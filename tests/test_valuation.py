@@ -10,6 +10,7 @@ from annrev import (
     PairValue,
     PowersetLattice,
     TValuation,
+    TwoLattice,
     UnitChain,
     apply_change,
     bot_pair,
@@ -22,7 +23,18 @@ from annrev import (
     theta_inv,
     transformable,
 )
-from helpers import oatom, old_program, powerset_p, powerset_pq, valuation
+from helpers import (
+    chain4,
+    oatom,
+    old_program,
+    oracle_diff,
+    oracle_transformable,
+    powerset_p,
+    powerset_pq,
+    powerset_pqr_custom,
+    unit_quarters,
+    valuation,
+)
 
 unit = UnitChain()
 
@@ -211,3 +223,25 @@ def test_build_rejects_unknown_atom():
     lat = powerset_pq()
     with pytest.raises(ValueError):
         PairValuation.build(lat, ("a",), {"b": bot_pair(lat)})
+
+
+@pytest.mark.parametrize("make", [
+    TwoLattice, chain4, powerset_pq, powerset_pqr_custom, UnitChain,
+], ids=["two", "chain4", "powerset_pq", "pqr_complement", "unit_quarters"])
+def test_diff_and_transformable_match_full_pair_space_oracle(make):
+    rng = random.Random(29)
+    lat = make()
+    els = lat.elements() if lat.is_finite else unit_quarters(lat)
+    space = [PairValue(x, y) for x in els for y in els]
+    reached = 0
+    for _ in range(300):
+        atoms = ("a", "b", "c")[:rng.randint(1, 3)]
+        B = PairValuation(lat, {a: rng.choice(space) for a in atoms})
+        R = PairValuation(lat, {a: rng.choice(space) for a in atoms})
+        if rng.random() < 0.5:
+            R = apply_change(B, PairValuation(lat, {a: rng.choice(space) for a in atoms}))
+        ok = oracle_transformable(B, R)
+        assert transformable(B, R) == ok
+        assert diff(R, B) == oracle_diff(R, B)
+        reached += ok
+    assert 0 < reached < 300
