@@ -20,7 +20,6 @@ from .engine import (
     RevisionOutcome,
     enumerate_revisions,
     f_reduct,
-    fixpoint_monitor,
     is_justified_revision,
     is_model,
     is_smodel,

@@ -69,34 +69,6 @@ class FixpointBoundError(Exception):
     which indicates a broken lattice or operator."""
 
 
-@dataclass
-class FixpointMonitor:
-    """Instrumentation for every necessary-change computation: how many ran,
-    the worst iteration count seen, and whether any exceeded its bound."""
-
-    runs: int = 0
-    violations: int = 0
-    worst_iterations: int = 0
-    worst_bound: int = 0
-
-    def record(self, iterations, bound):
-        self.runs += 1
-        if iterations > self.worst_iterations:
-            self.worst_iterations = iterations
-            self.worst_bound = bound
-        if iterations > bound:
-            self.violations += 1
-
-    def reset(self):
-        self.runs = 0
-        self.violations = 0
-        self.worst_iterations = 0
-        self.worst_bound = 0
-
-
-fixpoint_monitor = FixpointMonitor()
-
-
 def _check_semantics(semantics):
     if semantics not in SEMANTICS:
         raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
@@ -201,18 +173,18 @@ def _lfp(rules, bottom):
     read an atom the previous step changed are tested again.  A step is
     productive when some value changes, which takes a newly fired rule, so
     the fixpoint is reached within #rules productive steps; a further
-    productive step is an internal invariant violation.
+    productive step is an internal invariant violation.  The trace has one
+    entry per productive step, so its length is the step count.
     """
     watch = {}
     for k, (_, _, _, body) in enumerate(rules):
         for a, _ in body:
             watch.setdefault(a, []).append(k)
-    bound = len(rules)
     vals = dict(bottom)
     fired = set()
     trace = []
     todo = range(len(rules))
-    for iterations in range(bound + 1):
+    for _ in range(len(rules) + 1):
         new = [k for k in todo if all(pv <= vals[a] for a, pv in rules[k][3])]
         changed = set()
         for k in new:
@@ -222,14 +194,12 @@ def _lfp(rules, bottom):
                 vals[ha] = joined
                 changed.add(ha)
         if not changed:
-            fixpoint_monitor.record(iterations, bound)
             return vals, tuple(trace)
         fired.update(new)
         trace.append(tuple(rules[k][0] for k in sorted(fired)))
         todo = {k for a in changed for k in watch.get(a, ()) if k not in fired}
-    fixpoint_monitor.record(bound + 1, bound)
     raise FixpointBoundError(
-        f"no fixpoint within {bound + 1} steps for {len(rules)} rules")
+        f"no fixpoint within {len(rules) + 1} steps for {len(rules)} rules")
 
 
 def necessary_change(p: Program) -> PairValuation:

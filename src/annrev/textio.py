@@ -629,22 +629,6 @@ def _lattice_decl_text(lat):
     raise ValueError(f"cannot serialize lattice kind {lat.kind!r}")
 
 
-def _old_atom_text(a):
-    return f"{a.ratom.polarity}({a.ratom.atom}):{a.ann!r}"
-
-
-def _new_atom_text(a):
-    return f"{a.atom}:<{a.ann.pos!r},{a.ann.neg!r}>"
-
-
-def _rule_text(r):
-    fmt = _old_atom_text if isinstance(r, OldRule) else _new_atom_text
-    head = fmt(r.head)
-    if not r.body:
-        return f"{head} <- ."
-    return f"{head} <- {', '.join(fmt(b) for b in r.body)}."
-
-
 def _valuation_block(name, v):
     lines = [f"{name} {{"]
     lines += [f"  {line}" for line in v.canonical_text().splitlines()]
@@ -666,7 +650,7 @@ def _iso_expr_text(m: PairMap, lat):
                 if target != l:
                     moved.append((l, target))
         else:
-            for e in sorted(lat.elements(), key=lat.sort_key):
+            for e in lat.elements():
                 img = perm[e]
                 if img != e:
                     moved.append((lat.format_element(e), lat.format_element(img)))
@@ -692,7 +676,7 @@ def serialize_document(doc: Document) -> str:
              f"syntax {doc.syntax}",
              "universe { " + ", ".join(doc.universe) + " }",
              ""]
-    body = "\n".join(f"  {_rule_text(r)}" for r in doc.program.rules)
+    body = "\n".join(f"  {r}" for r in doc.program.rules)
     parts.append("program {\n" + (body + "\n" if body else "") + "}")
     if doc.init is not None:
         parts.append("")
@@ -739,7 +723,7 @@ def document_to_json(doc: Document) -> dict:
         "lattice": _lattice_decl_text(doc.lattice),
         "syntax": doc.syntax,
         "universe": list(doc.universe),
-        "rules": [_rule_text(r) for r in doc.program.rules],
+        "rules": [str(r) for r in doc.program.rules],
     }
     if doc.init is not None:
         out["init"] = valuation_to_json(doc.init)

@@ -230,7 +230,7 @@ def oracle_space(p, B_I):
     for _, pv in B_I.items():
         consts.update((pv.pos, pv.neg))
     consts |= {~e for e in set(consts)}
-    return _pairs(lat, sorted(consts, key=lat.sort_key))
+    return _pairs(lat, sorted(consts, key=lambda e: e.key))
 
 
 def _head_pair(lat, head):

@@ -23,7 +23,6 @@ from annrev import (
     diff,
     encode_classic,
     enumerate_revisions,
-    fixpoint_monitor,
     is_justified_revision,
     is_model,
     is_smodel,
@@ -32,6 +31,7 @@ from annrev import (
     parse,
     parse_iso,
     preserves_conflation,
+    reduct,
     rin,
     rout,
     tr1,
@@ -433,21 +433,19 @@ def test_criterion_11_translations_preserve_revisions():
 
 
 def test_criterion_12_fixpoint_bound():
-    # Every fixpoint run records its productive steps against its bound of
-    # #rules and raises past it, so any offender anywhere in the run fails its
-    # own test; the monitor additionally proves it saw real traffic.
+    # Every check runs one fixpoint over the rules the reduct keeps and
+    # returns its trace, one entry per productive step.
     rng = random.Random(1201)
     lat = powerset_pq()
-    runs_before = fixpoint_monitor.runs
+    violations = 0
     for _ in range(N_INSTANCES):
         atoms = random_universe(rng)
         p = random_old_program(rng, lat, atoms, 6)
         necessary_change(p)
         b_i = random_valuation(rng, lat, atoms)
         b_r = random_valuation(rng, lat, atoms)
-        is_justified_revision(p, b_i, b_r, MPT)
-        is_justified_revision(p, b_i, b_r, FITTING)
-    ok = (fixpoint_monitor.runs >= runs_before + 3 * N_INSTANCES
-          and fixpoint_monitor.violations == 0
-          and fixpoint_monitor.worst_iterations <= fixpoint_monitor.worst_bound)
-    report(12, "fixpoint stabilizes within #rules productive steps", ok)
+        bound = len(reduct(p, b_i, b_r).sources)
+        for semantics in (MPT, FITTING):
+            if len(is_justified_revision(p, b_i, b_r, semantics).trace) > bound:
+                violations += 1
+    report(12, "fixpoint stabilizes within #rules productive steps", violations == 0)

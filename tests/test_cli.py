@@ -1,10 +1,12 @@
 """Command-line behavior: commands, exit codes, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from annrev import validate
 from annrev.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -143,6 +145,30 @@ def test_validate_json(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_validate_scans_the_lattice_once(capsys, tmp_path, monkeypatch):
+    # parse validates the lattice; the validate command reports that verdict
+    # without a second scan.
+    doc = tmp_path / "custom.arp"
+    doc.write_text("lattice custom {\n"
+                   "  elements { bot, x, y, top }\n"
+                   "  order { bot < x, bot < y, x < top, y < top }\n"
+                   "  complement { bot: top, x: y, y: x, top: bot }\n"
+                   "}\n"
+                   "universe { a }\nprogram { in(a):x <- . }\n")
+    calls = []
+
+    def counted(lat):
+        calls.append(lat)
+        return validate(lat)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "annrev" and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted)
+    assert run(capsys, "validate", doc) == (
+        0, "lattice: custom (valid)\nsyntax: old\nuniverse: 1 atoms, program: 1 rules\n", "")
+    assert len(calls) == 1
 
 
 def test_missing_file_is_input_error(capsys):

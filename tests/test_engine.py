@@ -20,7 +20,6 @@ from annrev import (
     apply_change,
     enumerate_revisions,
     f_reduct,
-    fixpoint_monitor,
     is_justified_revision,
     is_model,
     is_smodel,
@@ -516,16 +515,20 @@ def test_trace_reports_source_rule_indices():
     assert out.trace  # at least one productive iteration
 
 
-def test_fixpoint_monitor_records_and_stays_within_bound():
-    fixpoint_monitor.reset()
+def test_fixpoint_trace_stays_within_bound():
+    # The trace has one entry per productive step.  From bottom, the
+    # necessary change is its own justified revision, and its check runs one
+    # fixpoint over the reduct's rules, bounded by their number.
     lat = powerset_pq()
     rng = random.Random(47)
     for _ in range(50):
         p = random_old_program(rng, lat, ("a", "b"), 6)
-        necessary_change(p)
-    assert fixpoint_monitor.runs == 50
-    assert fixpoint_monitor.violations == 0
-    assert fixpoint_monitor.worst_iterations <= fixpoint_monitor.worst_bound
+        nc = necessary_change(p)
+        bottom = PairValuation.bottom(lat, p.universe)
+        out = is_justified_revision(p, bottom, nc, MPT)
+        assert out.verified
+        assert out.necessary_change == nc
+        assert len(out.trace) <= len(reduct(p, bottom, nc).sources)
 
 
 def test_fixpoint_bound_is_tight_on_a_chain():
@@ -536,11 +539,9 @@ def test_fixpoint_bound_is_tight_on_a_chain():
     atoms = tuple(f"x{t}" for t in range(k))
     p = old_program(lat, atoms, [(("in", atoms[0], "t"), [])] + [
         (("in", atoms[t], "t"), [("in", atoms[t - 1], "t")]) for t in range(1, k)])
-    fixpoint_monitor.reset()
-    necessary_change(p)
-    assert fixpoint_monitor.runs == 1
-    assert fixpoint_monitor.worst_iterations == fixpoint_monitor.worst_bound == k
-    assert fixpoint_monitor.violations == 0
+    bottom = PairValuation.bottom(lat, atoms)
+    out = is_justified_revision(p, bottom, necessary_change(p), MPT)
+    assert len(out.trace) == len(p.rules) == k
 
 
 def test_new_syntax_verification_matches_old():
