@@ -390,6 +390,27 @@ class PowersetLattice(Lattice):
         return self._fmt(x.key)
 
 
+def _bound_table(down, up):
+    """Greatest-lower-bound table of a preorder given as bitmasks:
+    ``down[i]`` holds every ``k <= i`` and ``up[i]`` every ``k >= i``.
+    Entry ``[i][j]`` is the one common lower bound above all the others, or
+    None when there is not exactly one (no bound, or a cycle of them).
+    Passing ``(up, down)`` gives the join table.  Each entry intersects
+    ``up`` over the common lower bounds: O(n^3) bit operations in all."""
+    n = len(down)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lower = down[i] & down[j]
+            best = lower
+            for k in range(n):
+                if lower >> k & 1:
+                    best &= up[k]
+            if best and not best & (best - 1):
+                table[i][j] = table[j][i] = best.bit_length() - 1
+    return table
+
+
 class CustomLattice(Lattice):
     """Finite lattice from an explicit order relation and complement table.
 
@@ -424,8 +445,10 @@ class CustomLattice(Lattice):
                             row_i[j] = True
         self._leq = leq
         self._elems = tuple(Elem(self, i) for i in range(n))
-        self._meet = [[self._bound(i, j, lower=True) for j in range(n)] for i in range(n)]
-        self._join = [[self._bound(i, j, lower=False) for j in range(n)] for i in range(n)]
+        below = [sum(1 << k for k in range(n) if leq[k][i]) for i in range(n)]
+        above = [sum(1 << k for k in range(n) if leq[i][k]) for i in range(n)]
+        self._meet = _bound_table(below, above)
+        self._join = _bound_table(above, below)
         bots = [i for i in range(n) if all(leq[i][j] for j in range(n))]
         tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
         self._bot = self._elems[bots[0]] if len(bots) == 1 else None
@@ -439,16 +462,6 @@ class CustomLattice(Lattice):
             missing = [names[i] for i in range(n) if i not in comp]
             raise LatticeError(f"complement table misses {missing}")
         self._comp = comp
-
-    def _bound(self, i, j, lower):
-        leq = self._leq
-        if lower:
-            cands = [k for k in range(len(leq)) if leq[k][i] and leq[k][j]]
-            best = [m for m in cands if all(leq[k][m] for k in cands)]
-        else:
-            cands = [k for k in range(len(leq)) if leq[i][k] and leq[j][k]]
-            best = [m for m in cands if all(leq[m][k] for k in cands)]
-        return best[0] if len(best) == 1 else None
 
     def element(self, name: str) -> Elem:
         try:

@@ -18,9 +18,12 @@ decimal literals convert exactly on input and serialize as fractions.  The
 serializer emits a canonical form: atoms sorted, elements in their handle's
 element order, rules in source order.
 
-One compiled regular expression splits the text into tokens, each with its
-line and column; a recursive-descent parser reads them, with one loop for
-every ``{ item, ... }`` list and one for every ``< x, y >`` pair.
+One ``findall`` of a compiled regular expression splits the text into plain
+token strings, with no positions; a recursive-descent parser reads them,
+with one loop for every ``{ item, ... }`` list and one for every
+``< x, y >`` pair.  A token's kind is read off its first character.  Only
+when an error is raised does ``_where`` scan the text again for the line
+and column of the token it names, so valid input never pays for positions.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .isomorphism import PairIso, PairMap
 from .lattice import (
@@ -81,51 +83,56 @@ class DslSemanticError(DslError):
     pass
 
 
-class Token(NamedTuple):
-    kind: str  # ident | number | sym | eof
-    text: str
-    line: int
-    col: int
+# Blanks and comments match with the group empty, which ``_lex`` drops;
+# the group's alternatives are a word, a number, an arrow and any other
+# single character, tried in order.  ``[^\W\d]`` also admits the numeric
+# characters that are not decimal digits (such as ``²``) as the first
+# character of a word, because ``\w`` does; ``_lex`` rejects those, so
+# identifiers start with a letter or ``_``.  ``\d`` is exactly the decimal
+# digits that ``int``, ``Fraction`` and ``str.isdecimal`` accept.
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|([^\W\d]\w*|\d+(?:\.\d+)?|<-|->|.)", re.DOTALL)
+_SYMBOLS = frozenset(["<-", "->", *"{}[]()<>,:;.=*/"])
 
 
-# One alternative per token class, tried in order.  Blanks and comments
-# match no named group and are dropped.  ``ident`` also admits the numeric
-# characters that are not decimal digits (such as ``²``) as a first
-# character, because ``\w`` does; ``_lex`` rejects those, so identifiers
-# start with a letter or ``_``.  ``\d`` is exactly the decimal digits that
-# ``int`` and ``Fraction`` accept.
-_TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
-    r"|(?P<ident>[^\W\d]\w*)"
-    r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<sym><-|->|[{}\[\]()<>,:;.=*/])"
-    r"|(?P<bad>.)", re.DOTALL)
+def _is_ident(tok):
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
 def _lex(text):
-    """The tokens of ``text``, ending in ``eof``; a character that starts no
-    token raises ``DslLexError`` at its line and column."""
-    tokens = []
-    line, start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line += 1
-            start = m.end()
-            continue
-        tok = m.group()
-        if kind == "bad" or kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
-            raise DslLexError(f"unexpected character {tok[0]!r}", line, m.start() - start + 1)
-        tokens.append(Token(kind, tok, line, m.start() - start + 1))
-    tokens.append(Token("eof", "", line, len(text) - start + 1))
+    """The token texts of ``text``, ending in the eof sentinel ``""``.  A
+    character that starts no token raises ``DslLexError`` at its line and
+    column; when there are several, the first in the text."""
+    tokens = list(filter(None, _TOKEN.findall(text)))
+    bad = {t for t in set(tokens)
+           if t not in _SYMBOLS and not t[0].isdecimal() and not _is_ident(t)}
+    if bad:
+        k = next(k for k, t in enumerate(tokens) if t in bad)
+        raise DslLexError(f"unexpected character {tokens[k][0]!r}", *_where(text, k))
+    tokens.append("")
     return tokens
 
 
+def _where(text, k):
+    """Line and column of token ``k`` of ``text``, or of the end of the
+    text when ``k`` is the index of the eof sentinel.  Positions are only
+    needed for error messages, so they are found by a second scan."""
+    pos = len(text)
+    for m in _TOKEN.finditer(text):
+        if m.lastindex:
+            if not k:
+                pos = m.start()
+                break
+            k -= 1
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
+    """Cursor over the token texts of one input.  A token that an error
+    may point at later is remembered by its index ``i``."""
+
+    def __init__(self, text):
+        self.text = text
+        self.toks = _lex(text)
         self.i = 0
 
     def peek(self):
@@ -133,35 +140,36 @@ class _Parser:
 
     def advance(self):
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t:
             self.i += 1
         return t
 
     def at_sym(self, s):
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
+        return self.toks[self.i] == s
 
     def at_ident(self, *names):
-        t = self.peek()
-        return t.kind == "ident" and (not names or t.text in names)
+        t = self.toks[self.i]
+        return t in names if names else _is_ident(t)
 
     def expect_sym(self, s):
-        t = self.peek()
-        if not self.at_sym(s):
-            raise DslSyntaxError(f"expected {s!r}, found {t.text or 'end of input'!r}",
-                                 t.line, t.col)
-        return self.advance()
+        t = self.toks[self.i]
+        if t != s:
+            self.syntax_error(f"expected {s!r}, found {t or 'end of input'!r}")
+        self.i += 1
+        return t
 
     def expect_ident(self, what="a name"):
-        t = self.peek()
-        if t.kind != "ident":
-            raise DslSyntaxError(f"expected {what}, found {t.text or 'end of input'!r}",
-                                 t.line, t.col)
-        return self.advance()
+        t = self.toks[self.i]
+        if not _is_ident(t):
+            self.syntax_error(f"expected {what}, found {t or 'end of input'!r}")
+        self.i += 1
+        return t
 
-    def sem_error(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise DslSemanticError(msg, tok.line, tok.col)
+    def syntax_error(self, msg, k=None):
+        raise DslSyntaxError(msg, *_where(self.text, self.i if k is None else k))
+
+    def sem_error(self, msg, k=None):
+        raise DslSemanticError(msg, *_where(self.text, self.i if k is None else k))
 
 
 @dataclass
@@ -198,38 +206,40 @@ def _parse_label_list(p):
     seen = set()
 
     def label():
+        k = p.i
         t = p.expect_ident()
-        if t.text in seen:
-            p.sem_error(f"duplicate name {t.text!r}", t)
-        seen.add(t.text)
-        return t.text
+        if t in seen:
+            p.sem_error(f"duplicate name {t!r}", k)
+        seen.add(t)
+        return t
     return tuple(_braced(p, label))
 
 
 def _parse_set_literal(p):
-    return frozenset(_braced(p, lambda: p.expect_ident("a label").text))
+    return frozenset(_braced(p, lambda: p.expect_ident("a label")))
 
 
 def _parse_set_table(p):
     table = {}
 
     def entry():
-        tok = p.peek()
+        at = p.i
         k = _parse_set_literal(p)
         p.expect_sym(":")
         v = _parse_set_literal(p)
         if k in table:
-            p.sem_error("duplicate complement entry", tok)
+            p.sem_error("duplicate complement entry", at)
         table[k] = v
     _braced(p, entry)
     return table
 
 
 def _parse_lattice(p):
+    at = p.i
     t = p.expect_ident("a lattice kind")
-    if t.text == "two":
+    if t == "two":
         return TwoLattice()
-    if t.text == "powerset":
+    if t == "powerset":
         labels = _parse_label_list(p)
         table = None
         if p.at_ident("complement"):
@@ -238,114 +248,118 @@ def _parse_lattice(p):
         try:
             return PowersetLattice(labels, table)
         except LatticeError as e:
-            p.sem_error(str(e), t)
-    if t.text == "chain":
+            p.sem_error(str(e), at)
+    if t == "chain":
         if p.at_ident("unit"):
             p.advance()
             return UnitChain()
         p.expect_sym("[")
-        names = [p.expect_ident("a level name").text]
+        names = [p.expect_ident("a level name")]
         while p.at_sym("<"):
             p.advance()
-            names.append(p.expect_ident("a level name").text)
+            names.append(p.expect_ident("a level name"))
         p.expect_sym("]")
         try:
             return LevelChain(names)
         except LatticeError as e:
-            p.sem_error(str(e), t)
-    if t.text == "custom":
+            p.sem_error(str(e), at)
+    if t == "custom":
         p.expect_sym("{")
-        kw = p.expect_ident("'elements'")
-        if kw.text != "elements":
-            p.sem_error("custom lattice starts with an elements block", kw)
+        if p.expect_ident("'elements'") != "elements":
+            p.sem_error("custom lattice starts with an elements block", p.i - 1)
         names = _parse_label_list(p)
-        kw = p.expect_ident("'order'")
-        if kw.text != "order":
-            p.sem_error("expected an order block", kw)
+        if p.expect_ident("'order'") != "order":
+            p.sem_error("expected an order block", p.i - 1)
 
         def cover():
             a = p.expect_ident("an element name")
             p.expect_sym("<")
-            return a.text, p.expect_ident("an element name").text
+            return a, p.expect_ident("an element name")
         pairs = _braced(p, cover)
-        kw = p.expect_ident("'complement'")
-        if kw.text != "complement":
-            p.sem_error("expected a complement block", kw)
+        if p.expect_ident("'complement'") != "complement":
+            p.sem_error("expected a complement block", p.i - 1)
         comp = {}
 
         def comp_entry():
+            k = p.i
             a = p.expect_ident("an element name")
             p.expect_sym(":")
             b = p.expect_ident("an element name")
-            if a.text in comp:
-                p.sem_error(f"duplicate complement entry for {a.text!r}", a)
-            comp[a.text] = b.text
+            if a in comp:
+                p.sem_error(f"duplicate complement entry for {a!r}", k)
+            comp[a] = b
         _braced(p, comp_entry)
         p.expect_sym("}")
         try:
             return CustomLattice(names, pairs, comp)
         except LatticeError as e:
-            p.sem_error(str(e), t)
-    raise DslSyntaxError(f"unknown lattice kind {t.text!r}", t.line, t.col)
+            p.sem_error(str(e), at)
+    p.syntax_error(f"unknown lattice kind {t!r}", at)
 
 
 def _parse_element(p, lattice):
+    at = p.i
     t = p.peek()
-    if p.at_sym("{"):
+    if t == "{":
         if lattice.kind != "powerset":
-            p.sem_error("set annotations need a powerset lattice", t)
+            p.sem_error("set annotations need a powerset lattice")
         members = _parse_set_literal(p)
         try:
             return lattice.element(members)
         except LatticeError as e:
-            p.sem_error(str(e), t)
-    if t.kind == "number":
+            p.sem_error(str(e), at)
+    if t[:1].isdecimal():
         if lattice.kind != "unit":
-            p.sem_error("numeric annotations need the unit chain lattice", t)
+            p.sem_error("numeric annotations need the unit chain lattice")
         p.advance()
-        if "." in t.text:
-            value = Fraction(t.text)
+        if "." in t:
+            value = Fraction(t)
         else:
-            value = Fraction(int(t.text))
+            value = Fraction(int(t))
             if p.at_sym("/"):
                 p.advance()
                 d = p.peek()
-                if d.kind != "number" or "." in d.text:
-                    raise DslSyntaxError("expected an integer denominator", d.line, d.col)
+                if not d[:1].isdecimal() or "." in d:
+                    p.syntax_error("expected an integer denominator")
+                if int(d) == 0:
+                    p.sem_error("zero denominator")
                 p.advance()
-                if int(d.text) == 0:
-                    p.sem_error("zero denominator", d)
-                value = Fraction(int(t.text), int(d.text))
+                value = Fraction(int(t), int(d))
         try:
             return lattice.element(value)
         except LatticeError as e:
-            p.sem_error(str(e), t)
-    if t.kind == "ident":
+            p.sem_error(str(e), at)
+    if _is_ident(t):
         if lattice.kind == "powerset":
-            p.sem_error("expected a label set in braces", t)
+            p.sem_error("expected a label set in braces")
         if lattice.kind == "unit":
-            p.sem_error("expected a rational between 0 and 1", t)
+            p.sem_error("expected a rational between 0 and 1")
         p.advance()
         try:
-            return lattice.element(t.text)
+            return lattice.element(t)
         except LatticeError as e:
-            p.sem_error(str(e), t)
-    raise DslSyntaxError(f"expected an annotation, found {t.text or 'end of input'!r}",
-                         t.line, t.col)
+            p.sem_error(str(e), at)
+    p.syntax_error(f"expected an annotation, found {t or 'end of input'!r}")
+
+
+def _expect_atom(p, uset):
+    """An atom name that ``uset`` declares."""
+    name = p.expect_ident("an atom name")
+    if name not in uset:
+        p.sem_error(f"undeclared atom {name!r}", p.i - 1)
+    return name
 
 
 def _parse_old_atom(p, lattice, uset):
     t = p.expect_ident("'in' or 'out'")
-    if t.text not in ("in", "out"):
-        raise DslSyntaxError(f"expected 'in' or 'out', found {t.text!r}", t.line, t.col)
+    if t not in ("in", "out"):
+        p.syntax_error(f"expected 'in' or 'out', found {t!r}", p.i - 1)
     p.expect_sym("(")
-    at = p.expect_ident("an atom name")
-    if at.text not in uset:
-        p.sem_error(f"undeclared atom {at.text!r}", at)
+    name = _expect_atom(p, uset)
     p.expect_sym(")")
     p.expect_sym(":")
     ann = _parse_element(p, lattice)
-    return AnnotatedRevisionAtom(RevisionAtom(t.text, at.text), ann)
+    return AnnotatedRevisionAtom(RevisionAtom(t, name), ann)
 
 
 def _parse_pair(p, lattice):
@@ -359,11 +373,9 @@ def _parse_pair(p, lattice):
 
 
 def _parse_new_atom(p, lattice, uset):
-    at = p.expect_ident("an atom name")
-    if at.text not in uset:
-        p.sem_error(f"undeclared atom {at.text!r}", at)
+    name = _expect_atom(p, uset)
     p.expect_sym(":")
-    return PairAnnotatedAtom(at.text, _parse_pair(p, lattice))
+    return PairAnnotatedAtom(name, _parse_pair(p, lattice))
 
 
 def _parse_program(p, lattice, syntax, universe):
@@ -393,29 +405,28 @@ def _parse_valuation(p, lattice, universe):
     uset = set(universe)
     entries = {}
     while not p.at_sym("}"):
-        at = p.expect_ident("an atom name")
-        if at.text not in uset:
-            p.sem_error(f"undeclared atom {at.text!r}", at)
-        if at.text in entries:
-            p.sem_error(f"duplicate entry for atom {at.text!r}", at)
+        name = _expect_atom(p, uset)
+        if name in entries:
+            p.sem_error(f"duplicate entry for atom {name!r}", p.i - 1)
         p.expect_sym("=")
-        entries[at.text] = _parse_pair(p, lattice)
+        entries[name] = _parse_pair(p, lattice)
         p.expect_sym(".")
     p.expect_sym("}")
     return PairValuation.build(lattice, universe, entries)
 
 
-def _perm_map(p, lattice, pairs, tok):
+def _perm_map(p, lattice, pairs, at):
     """Pair map from a name permutation: powerset lattices permute labels,
-    other finite kinds permute elements; unlisted names stay fixed."""
+    other finite kinds permute elements; unlisted names stay fixed.  Errors
+    point at token ``at``."""
     if isinstance(lattice, PowersetLattice):
         known = set(lattice.labels)
         for a, b in pairs.items():
             if a not in known or b not in known:
-                p.sem_error(f"perm mentions unknown label {(a if a not in known else b)!r}", tok)
+                p.sem_error(f"perm mentions unknown label {(a if a not in known else b)!r}", at)
         sigma = {l: pairs.get(l, l) for l in lattice.labels}
         if set(sigma.values()) != known:
-            p.sem_error("perm is not a permutation of the labels", tok)
+            p.sem_error("perm is not a permutation of the labels", at)
         perm = {
             e: lattice.element(frozenset(sigma[l] for l in e.key))
             for e in lattice.elements()}
@@ -423,40 +434,42 @@ def _perm_map(p, lattice, pairs, tok):
         names = {lattice.format_element(e): e for e in lattice.elements()}
         for a, b in pairs.items():
             if a not in names or b not in names:
-                p.sem_error(f"perm mentions unknown element {(a if a not in names else b)!r}", tok)
+                p.sem_error(f"perm mentions unknown element {(a if a not in names else b)!r}", at)
         sigma = {n: pairs.get(n, n) for n in names}
         if set(sigma.values()) != set(names):
-            p.sem_error("perm is not a permutation of the elements", tok)
+            p.sem_error("perm is not a permutation of the elements", at)
         perm = {e: names[sigma[n]] for n, e in names.items()}
     else:
-        p.sem_error("perm is not supported on the unit chain", tok)
+        p.sem_error("perm is not supported on the unit chain", at)
     try:
         return PairMap.from_permutation(lattice, perm)
     except LatticeError as e:
-        p.sem_error(str(e), tok)
+        p.sem_error(str(e), at)
 
 
 def _parse_iso_prim(p, lattice):
+    at = p.i
     t = p.advance()
-    if t.text == "id":
+    if t == "id":
         return PairMap.identity(lattice)
-    if t.text == "swap":
+    if t == "swap":
         return PairMap.swap(lattice)
     p.expect_sym("(")
     pairs = {}
     while True:
+        k = p.i
         a = p.expect_ident("a name")
         p.expect_sym("->")
         b = p.expect_ident("a name")
-        if a.text in pairs:
-            p.sem_error(f"duplicate perm entry for {a.text!r}", a)
-        pairs[a.text] = b.text
+        if a in pairs:
+            p.sem_error(f"duplicate perm entry for {a!r}", k)
+        pairs[a] = b
         if p.at_sym(","):
             p.advance()
             continue
         break
     p.expect_sym(")")
-    return _perm_map(p, lattice, pairs, t)
+    return _perm_map(p, lattice, pairs, at)
 
 
 def _parse_iso_expr(p, lattice):
@@ -465,36 +478,34 @@ def _parse_iso_expr(p, lattice):
         prim = _parse_iso_prim(p, lattice)
         m = prim if m is None else m.then(prim)
     if m is None:
-        t = p.peek()
-        raise DslSyntaxError("expected an isomorphism: id, swap, or perm(...)",
-                             t.line, t.col)
+        p.syntax_error("expected an isomorphism: id, swap, or perm(...)")
     return m
 
 
-def _parse_iso_block(p, lattice, universe, iso_tok):
+def _parse_iso_block(p, lattice, universe, iso_at):
     """The body of an ``iso`` block.  Without a ``*`` default every universe
-    atom needs its own entry; errors about coverage point at ``iso_tok``."""
+    atom needs its own entry; errors about coverage point at token
+    ``iso_at``."""
     p.expect_sym("{")
     uset = set(universe)
     maps = {}
     default = None
     while not p.at_sym("}"):
-        tok = p.peek()
+        at = p.i
         if p.at_sym("*"):
             p.advance()
             key = None
         else:
-            t = p.expect_ident("an atom name or '*'")
-            if t.text not in uset:
-                p.sem_error(f"undeclared atom {t.text!r}", t)
-            if t.text in maps:
-                p.sem_error(f"duplicate iso entry for atom {t.text!r}", t)
-            key = t.text
+            key = p.expect_ident("an atom name or '*'")
+            if key not in uset:
+                p.sem_error(f"undeclared atom {key!r}", at)
+            if key in maps:
+                p.sem_error(f"duplicate iso entry for atom {key!r}", at)
         p.expect_sym(":")
         m = _parse_iso_expr(p, lattice)
         if key is None:
             if default is not None:
-                p.sem_error("duplicate default iso entry", tok)
+                p.sem_error("duplicate default iso entry", at)
             default = m
         else:
             maps[key] = m
@@ -504,7 +515,7 @@ def _parse_iso_block(p, lattice, universe, iso_tok):
     if default is None:
         for a in universe:
             if a not in maps:
-                p.sem_error(f"iso has no entry for atom {a!r} and no '*' default", iso_tok)
+                p.sem_error(f"iso has no entry for atom {a!r} and no '*' default", iso_at)
     return PairIso(lattice, maps, default)
 
 
@@ -515,7 +526,7 @@ def parse(text: str) -> Document:
     mentioned atom, and membership of every annotation in the declared
     lattice.  Errors carry the line and column of the offending token.
     """
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     lattice = None
     syntax = None
     universe = None
@@ -523,47 +534,46 @@ def parse(text: str) -> Document:
     init = None
     candidate = None
     iso = None
-    while p.peek().kind != "eof":
-        t = p.peek()
-        if t.kind != "ident":
-            raise DslSyntaxError(f"expected a declaration, found {t.text!r}", t.line, t.col)
-        name = t.text
+    while p.peek():
+        at = p.i
+        name = p.peek()
+        if not _is_ident(name):
+            p.syntax_error(f"expected a declaration, found {name!r}")
         if name == "lattice":
             if lattice is not None:
-                p.sem_error("duplicate lattice declaration", t)
+                p.sem_error("duplicate lattice declaration")
             p.advance()
             lattice = _parse_lattice(p)
             report = validate(lattice)
             if not report.ok:
-                raise DslSemanticError(f"invalid lattice: {report.failures[0]}",
-                                       t.line, t.col)
+                p.sem_error(f"invalid lattice: {report.failures[0]}", at)
         elif name == "syntax":
             if syntax is not None:
-                p.sem_error("duplicate syntax declaration", t)
+                p.sem_error("duplicate syntax declaration")
             if program is not None:
-                p.sem_error("syntax declaration must precede the program", t)
+                p.sem_error("syntax declaration must precede the program")
             p.advance()
             s = p.expect_ident("'old' or 'new'")
-            if s.text not in (OLD, NEW):
-                p.sem_error(f"syntax must be 'old' or 'new', got {s.text!r}", s)
-            syntax = s.text
+            if s not in (OLD, NEW):
+                p.sem_error(f"syntax must be 'old' or 'new', got {s!r}", p.i - 1)
+            syntax = s
         elif name == "universe":
             if universe is not None:
-                p.sem_error("duplicate universe declaration", t)
+                p.sem_error("duplicate universe declaration")
             p.advance()
             universe = _parse_label_list(p)
         elif name == "program":
             if program is not None:
-                p.sem_error("duplicate program block", t)
+                p.sem_error("duplicate program block")
             if lattice is None or universe is None:
-                p.sem_error("program needs lattice and universe declarations first", t)
+                p.sem_error("program needs lattice and universe declarations first")
             p.advance()
             program = _parse_program(p, lattice, syntax or OLD, universe)
         elif name in ("init", "candidate"):
             if lattice is None or universe is None:
-                p.sem_error(f"{name} needs lattice and universe declarations first", t)
+                p.sem_error(f"{name} needs lattice and universe declarations first")
             if (init if name == "init" else candidate) is not None:
-                p.sem_error(f"duplicate {name} block", t)
+                p.sem_error(f"duplicate {name} block")
             p.advance()
             v = _parse_valuation(p, lattice, universe)
             if name == "init":
@@ -572,13 +582,13 @@ def parse(text: str) -> Document:
                 candidate = v
         elif name == "iso":
             if iso is not None:
-                p.sem_error("duplicate iso block", t)
+                p.sem_error("duplicate iso block")
             if lattice is None or universe is None:
-                p.sem_error("iso needs lattice and universe declarations first", t)
+                p.sem_error("iso needs lattice and universe declarations first")
             p.advance()
-            iso = _parse_iso_block(p, lattice, universe, t)
+            iso = _parse_iso_block(p, lattice, universe, at)
         else:
-            raise DslSyntaxError(f"unknown block {name!r}", t.line, t.col)
+            p.syntax_error(f"unknown block {name!r}")
     if lattice is None:
         raise DslSemanticError("missing lattice declaration")
     if universe is None:
@@ -592,14 +602,13 @@ def parse(text: str) -> Document:
 def parse_iso(text: str, lattice, universe) -> PairIso:
     """Parse a standalone isomorphism spec against an existing document's
     lattice and universe."""
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     t = p.expect_ident("'iso'")
-    if t.text != "iso":
-        raise DslSyntaxError(f"expected an iso block, found {t.text!r}", t.line, t.col)
-    iso = _parse_iso_block(p, lattice, universe, t)
-    end = p.peek()
-    if end.kind != "eof":
-        raise DslSyntaxError(f"unexpected trailing input {end.text!r}", end.line, end.col)
+    if t != "iso":
+        p.syntax_error(f"expected an iso block, found {t!r}", 0)
+    iso = _parse_iso_block(p, lattice, universe, 0)
+    if p.peek():
+        p.syntax_error(f"unexpected trailing input {p.peek()!r}")
     return iso
 
 

@@ -1,13 +1,14 @@
 """Shared builders for the test suite: the lattices the fixtures live on,
 random program/valuation generators, enumeration shortcuts, the
 brute-force enumeration oracle with its literal justification check, the
-exhaustive lattice-axiom and pair-order oracles, and the
+exhaustive lattice-axiom, bound-table and pair-order oracles, and the
 character-by-character lexer and full pair-space difference that the
 library's regex lexer and least-change scan are compared against."""
 
 import random
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from annrev import (
     IN,
@@ -37,7 +38,16 @@ from annrev import (
     reduct,
     satisfies,
 )
-from annrev.textio import DslLexError, Token
+from annrev.textio import DslLexError
+
+
+class Token(NamedTuple):
+    """One token of ``oracle_lex``, with its 1-based position."""
+    kind: str  # ident | number | sym | eof
+    text: str
+    line: int
+    col: int
+
 
 PQR_COMPLEMENT = {
     frozenset(): frozenset("pqr"),
@@ -391,6 +401,20 @@ def axiom_scan(lat):
                 if not (x <= y or y <= x):
                     return fail(f"chain not totally ordered at {x!r}, {y!r}")
     return ValidationReport(True)
+
+
+def bound_oracle(leq, i, j, lower):
+    """Meet (``lower``) or join of elements ``i`` and ``j`` of the relation
+    ``leq``, by testing every common bound against all the others: the
+    reference for ``CustomLattice``'s tables.  None when there is not
+    exactly one best bound."""
+    if lower:
+        cands = [k for k in range(len(leq)) if leq[k][i] and leq[k][j]]
+        best = [m for m in cands if all(leq[k][m] for k in cands)]
+    else:
+        cands = [k for k in range(len(leq)) if leq[i][k] and leq[j][k]]
+        best = [m for m in cands if all(leq[m][k] for k in cands)]
+    return best[0] if len(best) == 1 else None
 
 
 def pair_order_preserved(lat, f):

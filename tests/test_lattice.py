@@ -25,7 +25,7 @@ from annrev import (
     top_pair,
     validate,
 )
-from helpers import axiom_scan, powerset_pq, powerset_pqr_custom
+from helpers import axiom_scan, bound_oracle, powerset_pq, powerset_pqr_custom
 
 unit = UnitChain()
 
@@ -166,6 +166,22 @@ def test_validate_matches_axiom_scan_on_random_custom_lattices():
     assert {"ok", "order not antisymmetric", "distributivity fails",
             "complement not an involution", "complement not order-reversing"} <= kinds
     assert any(k.startswith(("no meet", "no join")) for k in kinds)
+
+
+def test_custom_tables_match_bound_oracle():
+    rng = random.Random(21)
+    lats = [_random_custom(rng) for _ in range(600)]
+    for m in range(1, 6):
+        for n in range(m, 25 // m + 1):
+            names, order, comp = _product_decl(m, n)
+            rng.shuffle(names)
+            lats.append(CustomLattice(names, order, comp))
+    assert max(len(lat.names) for lat in lats) == 25
+    assert any(None in row for lat in lats for row in lat._meet + lat._join)
+    for lat in lats:
+        size = range(len(lat.names))
+        assert lat._meet == [[bound_oracle(lat._leq, i, j, True) for j in size] for i in size]
+        assert lat._join == [[bound_oracle(lat._leq, i, j, False) for j in size] for i in size]
 
 
 def _powerset_tables(rng, labels):

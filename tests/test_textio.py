@@ -17,8 +17,9 @@ from annrev import (
     parse_iso,
     serialize,
 )
-from annrev.textio import _lex
+from annrev.textio import _lex, _where
 from helpers import (
+    Token,
     oracle_lex,
     powerset_pq,
     random_new_program,
@@ -249,15 +250,33 @@ def test_twelve_label_powerset_parses_in_bounded_time(with_table):
     assert doc.lattice.has_custom_complement == with_table
 
 
-def _lex_result(lex, text):
+def _kind(tok):
+    if not tok:
+        return "eof"
+    if tok[0].isdecimal():
+        return "number"
+    return "ident" if tok[0].isalpha() or tok[0] == "_" else "sym"
+
+
+def _lex_result(text):
+    """``(kind, text, line, col)`` per token of ``textio._lex``, the position
+    from ``_where``, or the text of its ``DslLexError``."""
     try:
-        return lex(text)
+        tokens = _lex(text)
+    except DslLexError as e:
+        return str(e)
+    return [Token(_kind(t), t, *_where(text, k)) for k, t in enumerate(tokens)]
+
+
+def _oracle_result(text):
+    try:
+        return oracle_lex(text)
     except DslLexError as e:
         return str(e)
 
 
 def _assert_lexes_like_oracle(text):
-    got, want = _lex_result(_lex, text), _lex_result(oracle_lex, text)
+    got, want = _lex_result(text), _oracle_result(text)
     if got != want and isinstance(got, list) and isinstance(want, list):
         # The oracle does not advance the column over a comment, so its
         # eof after a final comment with no newline sits at the '#'.
@@ -317,10 +336,20 @@ _UNIT = "lattice chain unit\nuniverse { a }\n"
     # The eof column after a final comment is the true end of the line.
     (_HEAD + "program { # end", DslSyntaxError,
      "line 3, col 16: expected 'in' or 'out', found 'end of input'"),
+    # The whole text is lexed first, so a bad character anywhere wins over
+    # an earlier syntax error, and the first bad character in the text is
+    # the one reported.
+    ("lattice two\nuniverse a\nprogram { } @\n", DslLexError,
+     "line 3, col 13: unexpected character '@'"),
+    ("lattice two\nuniverse { a } ~\nprogram { } @ $ ! ² %\n", DslLexError,
+     "line 2, col 16: unexpected character '~'"),
+    ("lattice two @\nuniverse { a } @\n", DslLexError,
+     "line 1, col 13: unexpected character '@'"),
 ], ids=["bad-char", "superscript", "superscript-after-digit", "vulgar-fraction",
         "expected-sym", "expected-sym-at-eof", "expected-ident", "lattice-kind",
         "denominator", "annotation", "polarity", "iso-expr", "declaration", "block",
-        "eof-after-comment"])
+        "eof-after-comment", "lex-error-after-syntax-error", "first-of-several-bad",
+        "same-bad-twice"])
 def test_document_error_texts(text, error, message):
     with pytest.raises(error) as exc:
         parse(text)
