@@ -11,14 +11,14 @@ when applying the reduct's necessary change to the initial valuation
 reproduces the candidate exactly.
 
 All of it runs on one compiled form, a ``(source_index, head_atom,
-head_pair, body)`` tuple per rule.  One step function serves ``tpb``, and
-one least-fixpoint loop serves ``necessary_change`` and the reduct inside
-each check.  The loop is semi-naive: after the first step it tests only
-the unfired rules that read an atom whose value just changed, and it
-reaches the fixpoint within #rules productive steps.  One check, which
-keeps the rules the candidate satisfies and reduces only their bodies,
-serves ``is_justified_revision`` and ``enumerate_revisions``; enumeration
-reduces each body once.
+head_pair, body)`` tuple per rule.  One step function serves ``tp``,
+``tp_heads`` and ``tpb``, and one least-fixpoint loop serves
+``necessary_change`` and the reduct inside each check.  The loop is
+semi-naive: after the first step it tests only the unfired rules that read
+an atom whose value just changed, and it reaches the fixpoint within
+#rules productive steps.  One check, which keeps the rules the candidate
+satisfies and reduces only their bodies, serves ``is_justified_revision``
+and ``enumerate_revisions``; enumeration reduces each body once.
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
 """
 
@@ -43,10 +43,8 @@ from .syntax import (
     OldRule,
     PairAnnotatedAtom,
     Program,
-    rin,
-    rout,
 )
-from .valuation import PairValuation, TValuation, satisfies, theta_inv
+from .valuation import PairValuation, TValuation, satisfies, theta, theta_inv
 
 MPT = "mpt"
 FITTING = "fitting"
@@ -105,40 +103,6 @@ def _bottom(p: Program):
     return dict.fromkeys(p.universe, bot_pair(p.lattice))
 
 
-def tp_heads(p: Program, v):
-    """Heads of the rules whose bodies the valuation satisfies.
-
-    Revision-atom programs take a revision-atom valuation; pair-annotation
-    programs take a pair valuation.
-    """
-    if p.syntax == OLD:
-        if not isinstance(v, TValuation):
-            raise TypeError("revision-atom programs are evaluated over TValuation")
-        return frozenset(
-            r.head for r in p.rules
-            if all(b.ann <= v[b.ratom] for b in r.body))
-    if not isinstance(v, PairValuation):
-        raise TypeError("pair-annotation programs are evaluated over PairValuation")
-    return frozenset(
-        r.head for r in p.rules
-        if all(b.ann <= v[b.atom] for b in r.body))
-
-
-def tp(p: Program, v: TValuation) -> TValuation:
-    """One step of the program over a revision-atom valuation: each revision
-    atom gets the join of the annotations of its fired heads."""
-    if p.syntax != OLD:
-        raise UnsupportedOperationError("tp is defined for revision-atom programs")
-    lat = p.lattice
-    acc = {}
-    for a in p.universe:
-        acc[rin(a)] = lat.bot
-        acc[rout(a)] = lat.bot
-    for h in tp_heads(p, v):
-        acc[h.ratom] = acc[h.ratom] | h.ann
-    return TValuation(lat, acc)
-
-
 def _step(rules, vals, bottom):
     """One step of the compiled rules' operator: each atom gets the join of
     the heads of the rules whose bodies ``vals`` satisfies, ``bottom``'s
@@ -151,6 +115,39 @@ def _step(rules, vals, bottom):
             new[ha] = new[ha] | hp
             fired.append(i)
     return new, tuple(fired)
+
+
+def _fire(p: Program, v):
+    """``_step`` on the program's compiled rules over ``v``: a revision-atom
+    valuation, read through ``theta``, for revision-atom programs, a pair
+    valuation for pair-annotation programs."""
+    if p.syntax == OLD:
+        if not isinstance(v, TValuation):
+            raise TypeError("revision-atom programs are evaluated over TValuation")
+        v = theta(v)
+    elif not isinstance(v, PairValuation):
+        raise TypeError("pair-annotation programs are evaluated over PairValuation")
+    _check_compatible(p, v)
+    return _step(_compile(p), dict(v.items()), _bottom(p))
+
+
+def tp_heads(p: Program, v):
+    """Heads of the rules whose bodies the valuation satisfies.
+
+    Revision-atom programs take a revision-atom valuation; pair-annotation
+    programs take a pair valuation.
+    """
+    _, fired = _fire(p, v)
+    return frozenset(p.rules[i].head for i in fired)
+
+
+def tp(p: Program, v: TValuation) -> TValuation:
+    """One step of the program over a revision-atom valuation: each revision
+    atom gets the join of the annotations of its fired heads."""
+    if p.syntax != OLD:
+        raise UnsupportedOperationError("tp is defined for revision-atom programs")
+    new, _ = _fire(p, v)
+    return theta_inv(PairValuation(p.lattice, new))
 
 
 def tpb(p: Program, B: PairValuation) -> PairValuation:

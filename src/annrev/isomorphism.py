@@ -27,9 +27,11 @@ class PairMap:
     map (identity, swap, a permutation, or a composition of them) is an
     order isomorphism of the pairs exactly when its permutation is an order
     automorphism of the lattice, since the swap is an automorphism of the
-    product order; that takes ``|L|**2`` checks.  A table is checked over
-    the whole pair space.  Infinite lattices admit only the structurally
-    safe identity and swap.
+    product order; that takes ``|L|**2`` checks.  Likewise it commutes with
+    conflation exactly when its permutation commutes with the complement,
+    since the swap always does; that takes ``|L|`` checks.  A table is
+    checked over the whole pair space for both.  Infinite lattices admit
+    only the structurally safe identity and swap.
     """
 
     __slots__ = ("lattice", "_perm", "_swap", "_table")
@@ -130,9 +132,11 @@ class PairMap:
         return PairMap.from_table(self.lattice, table)
 
     def preserves_conflation(self) -> bool:
-        if not self.lattice.is_finite:
-            return True  # identity and swap commute with conflation
-        return all(self(-v) == -self(v) for v in pair_space(self.lattice))
+        """Whether the map commutes with conflation ``-(p, n) = (~n, ~p)``."""
+        if self._table is not None:
+            return all(self(-v) == -self(v) for v in pair_space(self.lattice))
+        perm = self._perm
+        return perm is None or all(perm[~x] == ~px for x, px in perm.items())
 
 
 class PairIso:

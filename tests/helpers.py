@@ -29,6 +29,7 @@ from annrev import (
     Program,
     RevisionAtom,
     RevisionOutcome,
+    TValuation,
     UnsupportedOperationError,
     ValidationReport,
     apply_change,
@@ -36,7 +37,10 @@ from annrev import (
     f_reduct,
     pair_space,
     reduct,
+    rin,
+    rout,
     satisfies,
+    theta,
 )
 from annrev.textio import DslLexError
 
@@ -251,6 +255,27 @@ def _head_pair(lat, head):
     bot = lat.bot
     pair = PairValue(head.ann, bot) if head.ratom.polarity == IN else PairValue(bot, head.ann)
     return head.ratom.atom, pair
+
+
+def literal_tp(p, v):
+    """The one-step operator by its definition on the public rule objects:
+    the heads of the rules whose bodies ``satisfies(theta(v), body)`` (``v``
+    itself for a pair-annotation program), and the join of their
+    annotations per revision atom as a ``TValuation`` (per atom as a
+    ``PairValuation`` for a pair-annotation program).  Shares no code with
+    the engine's compiled step."""
+    lat = p.lattice
+    if p.syntax == OLD:
+        heads = frozenset(r.head for r in p.rules if satisfies(theta(v), r.body))
+        image = {l: lat.bot for a in p.universe for l in (rin(a), rout(a))}
+        for h in heads:
+            image[h.ratom] = image[h.ratom] | h.ann
+        return heads, TValuation(lat, image)
+    heads = frozenset(r.head for r in p.rules if satisfies(v, r.body))
+    image = {a: PairValue(lat.bot, lat.bot) for a in p.universe}
+    for h in heads:
+        image[h.atom] = image[h.atom] | h.ann
+    return heads, PairValuation(lat, image)
 
 
 def literal_justification(p, B_I, B_R, semantics="mpt"):

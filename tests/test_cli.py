@@ -259,6 +259,52 @@ def test_validate_rejects_powerset_complement_table(capsys, tmp_path, table, mes
         2, "", f"error: line 2, col 1: invalid lattice: {message}\n")
 
 
+@pytest.mark.parametrize("name, lattice, order, complement, message", [
+    ("antisymmetry", "a, b", "a < b, b < a", "a: b, b: a",
+     "order not antisymmetric at a, b"),
+    ("no-meet", "a, b, top", "a < top, b < top", "a: a, b: b, top: top",
+     "no meet of a and b"),
+    ("no-join", "bot, a, b", "bot < a, bot < b", "bot: bot, a: b, b: a",
+     "no join of a and b"),
+    ("n5", "bot, a, b, c, top", "bot < a, a < b, b < top, bot < c, c < top",
+     "bot: top, a: c, b: c, c: a, top: bot", "distributivity fails at b, a, c"),
+    ("m3", "bot, a, b, c, top", "bot < a, bot < b, bot < c, a < top, b < top, c < top",
+     "bot: top, a: a, b: c, c: b, top: bot", "distributivity fails at a, b, c"),
+    ("involution", "bot, top", "bot < top", "bot: bot, top: bot",
+     "complement not an involution at top"),
+    ("order-reversal", "bot, a, b, top", "bot < a, bot < b, a < top, b < top",
+     "bot: bot, a: a, b: b, top: top", "complement not order-reversing at bot, a"),
+    # Each pair is checked for order reversal and then both De Morgan laws,
+    # so a De Morgan failure can be the first one named.
+    ("de-morgan", "top, bot", "bot < top", "top: top, bot: bot",
+     "De Morgan law (join) fails at top, bot"),
+])
+def test_validate_rejects_custom_lattice(capsys, tmp_path, name, lattice, order,
+                                         complement, message):
+    doc = tmp_path / f"{name}.arp"
+    doc.write_text("universe { a }\n"
+                   f"lattice custom {{ elements {{ {lattice} }} order {{ {order} }} "
+                   f"complement {{ {complement} }} }}\n"
+                   "program { }\n")
+    assert run(capsys, "validate", doc) == (
+        2, "", f"error: line 2, col 1: invalid lattice: {message}\n")
+
+
+@pytest.mark.parametrize("universe, warned", [("a", False), ("a, b", True)],
+                         ids=["default-unused", "default-used"])
+def test_shift_warns_only_about_maps_in_use(capsys, tmp_path, universe, warned):
+    # The q<->r permutation breaks conflation over shift_cex's complement;
+    # it matters only when some atom falls back on the default.
+    text = (FIXTURES / "shift_cex.arp").read_text()
+    doc = tmp_path / "doc.arp"
+    doc.write_text(text.replace("universe { a }", f"universe {{ {universe} }}"))
+    iso = tmp_path / "default.iso"
+    iso.write_text("iso { a: id; *: perm(q->r, r->q); }\n")
+    code, out, err = run(capsys, "shift", doc, "--iso", iso)
+    assert code == 0 and "a = <{p}, {r}>." in out
+    assert ("does not preserve conflation" in err) == warned
+
+
 def test_shift_rejects_perm_that_is_not_an_order_automorphism(capsys, tmp_path):
     doc = tmp_path / "chain.arp"
     doc.write_text("lattice chain [c0 < c1 < c2 < c3]\nuniverse { a }\nprogram { }\n")

@@ -17,6 +17,7 @@ from annrev import (
     PowersetLattice,
     TwoLattice,
     UnitChain,
+    UnsupportedOperationError,
     apply_change,
     enumerate_revisions,
     f_reduct,
@@ -28,11 +29,11 @@ from annrev import (
     parse,
     reduct,
     satisfies,
-    theta,
     theta_inv,
     tp,
     tp_heads,
     tpb,
+    tr1,
 )
 from helpers import (
     all_valuations,
@@ -40,6 +41,7 @@ from helpers import (
     chain4,
     deep_chain_program,
     literal_justification,
+    literal_tp,
     oatom,
     old_program,
     powerset_pq,
@@ -122,7 +124,7 @@ def test_tp_heads_pair_syntax():
         tp_heads(tr1(p), theta_inv(B_R))
 
 
-def test_tpb_monotone_and_matches_theta_route():
+def test_tpb_monotone():
     rng = random.Random(23)
     lat = powerset_pq()
     for _ in range(100):
@@ -130,7 +132,40 @@ def test_tpb_monotone_and_matches_theta_route():
         B = random_valuation(rng, lat, ("a", "b"))
         B2 = B | random_valuation(rng, lat, ("a", "b"))
         assert tpb(p, B).leq_k(tpb(p, B2))
-        assert tpb(p, B) == theta(tp(p, theta_inv(B)))
+
+
+@pytest.mark.parametrize("make", [TwoLattice, powerset_pq, chain4, UnitChain])
+def test_tp_matches_literal_operator(make):
+    rng = random.Random(24)
+    lat = make()
+    els = None if lat.is_finite else unit_quarters(lat)
+    atoms = ("a", "b")
+    fired = set()
+    for _ in range(150):
+        B = random_valuation(rng, lat, atoms, els)
+        v = theta_inv(B)
+        old = random_old_program(rng, lat, atoms, 5, els=els)
+        heads, image = literal_tp(old, v)
+        assert tp_heads(old, v) == heads
+        assert tp(old, v) == image
+        new = random_new_program(rng, lat, atoms, 5, els=els)
+        heads, image = literal_tp(new, B)
+        assert tp_heads(new, B) == heads
+        assert tpb(new, B) == image
+        fired.add(bool(heads))
+    assert fired == {True, False}
+
+
+def test_tp_rejects_wrong_syntax_valuation_and_universe():
+    lat = powerset_pq()
+    p = notmodel_program(lat)
+    v = theta_inv(PairValuation.bottom(lat, ("a", "b")))
+    with pytest.raises(UnsupportedOperationError, match="revision-atom programs"):
+        tp(tr1(p), v)
+    with pytest.raises(TypeError, match="over TValuation"):
+        tp(p, PairValuation.bottom(lat, ("a", "b")))
+    with pytest.raises(ValueError, match="universe differs"):
+        tp(p, theta_inv(PairValuation.bottom(lat, ("a",))))
 
 
 # --- necessary change ----------------------------------------------------------

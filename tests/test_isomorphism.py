@@ -139,7 +139,12 @@ def _element_perms(rng, lat):
     return out
 
 
-@pytest.mark.parametrize("make", [lambda: PowersetLattice(("p", "q", "r")), chain4, _diamond])
+def _conflation_by_pair_space(m):
+    return all(m(-v) == -m(v) for v in pair_space(m.lattice))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PowersetLattice(("p", "q", "r")), chain4, _diamond, powerset_pqr_custom])
 def test_structural_pairmap_matches_pair_space_check(make):
     rng = random.Random(13)
     lat = make()
@@ -160,10 +165,15 @@ def test_structural_pairmap_matches_pair_space_check(make):
                 assert expected
                 accepted.append(m)
     assert accepted and rejected
-    for m in accepted[:6]:
-        for n in accepted[:6]:
-            both = m.then(n)
-            assert both.is_structural() and pair_order_preserved(lat, both)
+    composed = [m.then(n) for m in accepted[:6] for n in accepted[:6]]
+    for both in composed:
+        assert both.is_structural() and pair_order_preserved(lat, both)
+    answers = set()
+    for m in accepted + composed:
+        answers.add(m.preserves_conflation())
+        assert m.preserves_conflation() == _conflation_by_pair_space(m)
+    # only the custom complement has automorphisms that break conflation
+    assert answers == ({True, False} if make is powerset_pqr_custom else {True})
 
 
 def test_pairmap_rejects_non_automorphism_with_witness():

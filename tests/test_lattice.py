@@ -168,6 +168,30 @@ def test_validate_matches_axiom_scan_on_random_custom_lattices():
     assert any(k.startswith(("no meet", "no join")) for k in kinds)
 
 
+def test_validate_matches_axiom_scan_on_large_grids():
+    # Every grid of chains from 12 elements up to the 24- and 25-element
+    # sizes that the load benchmark declares, under the reversing complement
+    # and with two of its entries exchanged.
+    rng = random.Random(22)
+    grids = 0
+    for m in range(1, 6):
+        for n in range(m, 25 // m + 1):
+            if m * n < 12:
+                continue
+            grids += 1
+            names, order, comp = _product_decl(m, n)
+            a, b = rng.sample(names, 2)
+            swapped = dict(comp)
+            swapped[a], swapped[b] = comp[b], comp[a]
+            for table in (comp, swapped):
+                rng.shuffle(names)
+                lat = CustomLattice(names, order, table)
+                report = validate(lat)
+                assert report == axiom_scan(lat)
+                assert report.ok == (table is comp)
+    assert grids == 30
+
+
 def test_custom_tables_match_bound_oracle():
     rng = random.Random(21)
     lats = [_random_custom(rng) for _ in range(600)]
