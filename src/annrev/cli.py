@@ -216,8 +216,7 @@ def _cmd_shift(doc, args):
         apply_iso(iso, doc.init) if doc.init is not None else None,
         apply_iso(iso, doc.candidate) if doc.candidate is not None else None,
         None)
-    # Only the maps that some atom uses matter; an unused default does not.
-    if not all(m.preserves_conflation() for m in {iso.map_for(a) for a in doc.universe}):
+    if not iso.preserves_conflation():
         print("warning: isomorphism does not preserve conflation; "
               "justified revisions are not preserved", file=sys.stderr)
     print(textio.serialize_document(shifted), end="")

@@ -12,11 +12,24 @@ from __future__ import annotations
 from .lattice import (
     LatticeError,
     PairValue,
+    PowersetLattice,
     UnsupportedOperationError,
     pair_space,
 )
 from .syntax import NEW, NewRule, PairAnnotatedAtom, Program
 from .valuation import PairValuation
+
+
+def _order_pairs(lat):
+    """The pairs on which a bijection of ``lat`` must keep the order to be
+    an automorphism.  On a powerset these are the ``n * 2**(n-1)`` covers
+    ``S < S | {l}``: a map monotone on covers is monotone, and a monotone
+    bijection of a finite order is an automorphism.  Elsewhere, every pair."""
+    els = lat.elements()
+    if isinstance(lat, PowersetLattice):
+        return [(x, lat.element(x.key | {l})) for x in els for l in lat.labels
+                if l not in x.key]
+    return [(x, y) for x in els for y in els]
 
 
 class PairMap:
@@ -27,7 +40,8 @@ class PairMap:
     map (identity, swap, a permutation, or a composition of them) is an
     order isomorphism of the pairs exactly when its permutation is an order
     automorphism of the lattice, since the swap is an automorphism of the
-    product order; that takes ``|L|**2`` checks.  Likewise it commutes with
+    product order; that takes one check per cover on a powerset and
+    ``|L|**2`` checks elsewhere.  Likewise it commutes with
     conflation exactly when its permutation commutes with the complement,
     since the swap always does; that takes ``|L|`` checks.  A table is
     checked over the whole pair space for both.  Infinite lattices admit
@@ -72,12 +86,11 @@ class PairMap:
             els = set(lat.elements())
             if set(self._perm) != els or set(self._perm.values()) != els:
                 raise LatticeError("permutation is not a bijection on the lattice")
-            images = [(x, self._perm[x]) for x in lat.elements()]
-            for x, px in images:
-                for y, py in images:
-                    if lat.leq(x, y) != lat.leq(px, py):
-                        raise LatticeError(
-                            f"permutation does not preserve the order at {x!r}, {y!r}")
+            perm = self._perm
+            for x, y in _order_pairs(lat):
+                if lat.leq(x, y) != lat.leq(perm[x], perm[y]):
+                    raise LatticeError(
+                        f"permutation does not preserve the order at {x!r}, {y!r}")
         if self._table is None:
             return
         space = pair_space(lat)

@@ -138,10 +138,10 @@ class Lattice:
     def pcomp(self, alpha: Elem, beta: Elem) -> Elem:
         """Least gamma with join(alpha, gamma) >= beta.
 
-        On a validated distributive lattice the meet of all satisfying
-        elements is itself satisfying, so a full scan is exact.  When
-        ``beta <= alpha`` bottom is that least element, without a scan.
-        Chains override this with a closed form.
+        Chains (bottom or ``beta``) and powersets (``beta - alpha``)
+        override this with closed forms, so this scan serves only custom
+        lattices.  On a validated distributive lattice the meet of all
+        satisfying elements is itself satisfying, so the scan is exact.
         """
         if beta <= alpha:
             return self.bot
@@ -308,7 +308,7 @@ class PowersetLattice(Lattice):
     reverses every cover, which makes it a De Morgan complement.
 
     ``MAX_LABELS`` stays 12 although validation would allow more:
-    ``pair_space``, ``diff`` and isomorphism tables all scan ``4**n`` pairs,
+    ``pair_space`` and table-defined isomorphisms scan ``4**n`` pairs,
     which is 16.7M at 12 labels.
     """
 
@@ -384,6 +384,9 @@ class PowersetLattice(Lattice):
     @property
     def top(self):
         return self._by_key[self._full]
+
+    def pcomp(self, alpha, beta):
+        return self._by_key[beta.key - alpha.key]
 
     def format_element(self, x):
         return self._fmt(x.key)

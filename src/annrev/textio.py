@@ -485,7 +485,7 @@ def _parse_iso_expr(p, lattice):
 def _parse_iso_block(p, lattice, universe, iso_at):
     """The body of an ``iso`` block.  Without a ``*`` default every universe
     atom needs its own entry; errors about coverage point at token
-    ``iso_at``."""
+    ``iso_at``.  A default that no atom falls back on is dropped."""
     p.expect_sym("{")
     uset = set(universe)
     maps = {}
@@ -512,11 +512,10 @@ def _parse_iso_block(p, lattice, universe, iso_at):
         if p.at_sym(";"):
             p.advance()
     p.expect_sym("}")
-    if default is None:
-        for a in universe:
-            if a not in maps:
-                p.sem_error(f"iso has no entry for atom {a!r} and no '*' default", iso_at)
-    return PairIso(lattice, maps, default)
+    uncovered = [a for a in universe if a not in maps]
+    if default is None and uncovered:
+        p.sem_error(f"iso has no entry for atom {uncovered[0]!r} and no '*' default", iso_at)
+    return PairIso(lattice, maps, default if uncovered else None)
 
 
 def parse(text: str) -> Document:

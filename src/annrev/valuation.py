@@ -3,18 +3,16 @@
 A pair valuation maps every universe atom to an evidence pair; a plain
 valuation maps every revision atom to a single strength.  The two views are
 interchangeable through theta.  This module also houses satisfaction, the
-application of a change valuation, and the least-change difference: one
-scan per atom over the pairs below the target, with transformability
+application of a change valuation, and the least-change difference: per
+atom a least fixpoint of relative pseudo-complements, with transformability
 read off its result.
 """
 
 from __future__ import annotations
 
 from .lattice import (
-    LatticeError,
     LatticeMismatchError,
     PairValue,
-    UnsupportedOperationError,
     bot_pair,
     top_pair,
 )
@@ -233,17 +231,6 @@ def apply_change(B: PairValuation, C: PairValuation) -> PairValuation:
     return (B & -C) | C
 
 
-def _diff_elements(lat, r, b):
-    """The elements a least change at one atom is built from: every element
-    of a finite lattice; on the unit chain, the chain bounds and the
-    components of ``r`` and ``b``, closed under complement.  Those form a
-    sublattice of the chain that holds the least solution."""
-    if lat.is_finite:
-        return lat.elements()
-    keys = {lat.bot.key, lat.top.key, r.pos.key, r.neg.key, b.pos.key, b.neg.key}
-    return [lat.element(k) for k in keys | {1 - k for k in keys}]
-
-
 def transformable(B: PairValuation, R: PairValuation) -> bool:
     """Whether some change valuation turns B into R.  Exact through
     ``diff``: when no change does, ``diff`` returns all-top, and an all-top
@@ -255,30 +242,36 @@ def diff(R: PairValuation, B: PairValuation) -> PairValuation:
     """Least change valuation transforming B into R, or the all-top
     valuation when no change valuation does.
 
-    The search is pointwise: per atom, the meet of all solutions is itself a
-    solution on a validated distributive lattice.  Every solution ``c`` of
-    ``(b & -c) | c == r`` lies below ``r``, so one scan over the pairs below
-    ``r`` built from ``_diff_elements`` finds them all.
+    Per atom, ``c`` solves ``(b & -c) | c == r`` exactly when ``c <= r``,
+    ``c.pos >= pcomp(b.pos & ~c.neg, r.pos) | pcomp(~b.neg, ~r.neg)`` and
+    ``c.neg >= pcomp(b.neg & ~c.pos, r.neg) | pcomp(~b.pos, ~r.pos)``; the
+    second terms restate ``b.neg & ~c.pos <= r.neg`` and
+    ``b.pos & ~c.neg <= r.pos`` through De Morgan.  Both bounds are
+    monotone in the other component, so their least fixpoint, iterated
+    from the bottom pair, lies below every solution: it is the least
+    solution when it solves the equation, and there is none when it does
+    not.
     """
     if R.lattice is not B.lattice:
         raise LatticeMismatchError("valuations over different lattices")
     if R.atoms != B.atoms:
         raise ValueError("valuations over different universes")
     lat = B.lattice
+    pcomp = lat.pcomp
     out = {}
     for a in B.atoms:
         r, b = R[a], B[a]
-        els = _diff_elements(lat, r, b)
-        xs = [x for x in els if x <= r.pos]
-        ys = [y for y in els if y <= r.neg]
-        sols = [c for c in (PairValue(x, y) for x in xs for y in ys) if ((b & -c) | c) == r]
-        if not sols:
+        p_floor = pcomp(~b.neg, ~r.neg)
+        n_floor = pcomp(~b.pos, ~r.pos)
+        p = n = lat.bot
+        while True:
+            p2 = pcomp(b.pos & ~n, r.pos) | p_floor
+            n2 = pcomp(b.neg & ~p2, r.neg) | n_floor
+            if p2 == p and n2 == n:
+                break
+            p, n = p2, n2
+        c = PairValue(p, n)
+        if ((b & -c) | c) != r:
             return PairValuation.top(lat, B.atoms)
-        m = PairValue(lat.big_meet(s.pos for s in sols), lat.big_meet(s.neg for s in sols))
-        if ((b & -m) | m) != r:
-            if lat.is_finite:
-                raise LatticeError("least difference not attained; lattice may be non-distributive")
-            raise UnsupportedOperationError(
-                f"difference at atom {a!r} falls outside the supported chain fragment")
-        out[a] = m
+        out[a] = c
     return PairValuation(lat, out)

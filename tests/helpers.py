@@ -3,7 +3,7 @@ random program/valuation generators, enumeration shortcuts, the
 brute-force enumeration oracle with its literal justification check, the
 exhaustive lattice-axiom, bound-table and pair-order oracles, and the
 character-by-character lexer and full pair-space difference that the
-library's regex lexer and least-change scan are compared against."""
+library's regex lexer and least-change fixpoint are compared against."""
 
 import random
 from fractions import Fraction
@@ -15,6 +15,7 @@ from annrev import (
     NEW,
     OLD,
     AnnotatedRevisionAtom,
+    CustomLattice,
     LatticeError,
     LatticeMismatchError,
     LevelChain,
@@ -81,6 +82,43 @@ def powerset_pqr_custom():
 
 def chain4():
     return LevelChain(("c0", "c1", "c2", "c3"))
+
+
+def label_involution_powerset(labels, swaps):
+    """Powerset with the De Morgan complement ``S -> full - sigma(S)``,
+    where the label involution ``sigma`` exchanges each pair in ``swaps``."""
+    sigma = {l: l for l in labels}
+    for x, y in swaps:
+        sigma[x], sigma[y] = y, x
+    full = frozenset(labels)
+    table = {e.key: full - {sigma[l] for l in e.key}
+             for e in PowersetLattice(labels).elements()}
+    return PowersetLattice(labels, table)
+
+
+def diamond_fixed():
+    """The diamond bot < a, b < top whose complement fixes a and b: De
+    Morgan but not Boolean."""
+    return CustomLattice(
+        ("bot", "a", "b", "top"),
+        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
+        {"bot": "top", "a": "a", "b": "b", "top": "bot"})
+
+
+def product_decl(m, n):
+    """Names, order pairs and the reversing complement of an m x n grid of
+    chains; a 1 x n grid is a chain and 2 x 2 the diamond."""
+    coords = [(i, j) for i in range(m) for j in range(n)]
+    names = {c: f"x{c[0]}y{c[1]}" for c in coords}
+    order = [(names[a], names[b]) for a in coords for b in coords
+             if a != b and a[0] <= b[0] and a[1] <= b[1]]
+    comp = {names[(i, j)]: names[(m - 1 - i, n - 1 - j)] for i, j in coords}
+    return list(names.values()), order, comp
+
+
+def chain_product(m, n):
+    """The m x n grid of chains as a custom lattice."""
+    return CustomLattice(*product_decl(m, n))
 
 
 def oatom(lat, pol, atom, ann):

@@ -2,11 +2,12 @@
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from annrev import validate
+from annrev import PowersetLattice, validate
 from annrev.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -322,6 +323,22 @@ def test_shift_rejects_iso_that_misses_an_atom(capsys, tmp_path):
     iso.write_text("\n  iso { a: swap; }\n")
     assert run(capsys, "shift", doc, "--iso", iso) == (
         2, "", "error: line 2, col 3: iso has no entry for atom 'b' and no '*' default\n")
+
+
+def test_diff_and_shift_take_bounded_time_at_max_labels(capsys, tmp_path):
+    labels = [f"l{i}" for i in range(PowersetLattice.MAX_LABELS)]
+    full = "{" + ",".join(labels) + "}"
+    doc = tmp_path / "wide.arp"
+    doc.write_text(f"lattice powerset {{ {', '.join(labels)} }}\nsyntax new\n"
+                   "universe { a }\nprogram { }\n"
+                   f"init {{ a = <{{}}, {full}>. }}\ncandidate {{ a = <{full}, {full}>. }}\n")
+    iso = tmp_path / "swap.iso"
+    iso.write_text("iso { a: perm(l0->l1, l1->l0); }\n")
+    for argv in [("diff", doc), ("shift", doc, "--iso", iso)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0, argv[0]
+        assert (code, err) == (0, "") and f"  a = <{full}, {full}>.\n" in out
 
 
 def test_non_decimal_digit_is_a_located_input_error(capsys, tmp_path):

@@ -25,7 +25,7 @@ from annrev import (
     top_pair,
     validate,
 )
-from helpers import axiom_scan, bound_oracle, powerset_pq, powerset_pqr_custom
+from helpers import axiom_scan, bound_oracle, powerset_pq, powerset_pqr_custom, product_decl
 
 unit = UnitChain()
 
@@ -82,17 +82,6 @@ def test_validate_unit_chain():
     assert validate(unit).ok
 
 
-def _product_decl(m, n):
-    """Names, order pairs and the reversing complement of an m x n grid of
-    chains; a 1 x n grid is a chain and 2 x 2 the diamond."""
-    coords = [(i, j) for i in range(m) for j in range(n)]
-    names = {c: f"x{c[0]}y{c[1]}" for c in coords}
-    order = [(names[a], names[b]) for a in coords for b in coords
-             if a != b and a[0] <= b[0] and a[1] <= b[1]]
-    comp = {names[(i, j)]: names[(m - 1 - i, n - 1 - j)] for i, j in coords}
-    return list(names.values()), order, comp
-
-
 # M3 and N5, the two non-distributive five-element lattices.
 _M3 = (["bot", "a", "b", "c", "top"],
        [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"), ("c", "top")],
@@ -144,7 +133,7 @@ def _random_custom(rng):
     else:
         if shape == 1:
             m = rng.randint(1, 3)
-            names, order, comp = _product_decl(m, rng.randint(1, 7 // m))
+            names, order, comp = product_decl(m, rng.randint(1, 7 // m))
         else:
             names, order, comp = _M3 if shape == 2 else _N5
         comp = _random_table(rng, names, comp)
@@ -179,7 +168,7 @@ def test_validate_matches_axiom_scan_on_large_grids():
             if m * n < 12:
                 continue
             grids += 1
-            names, order, comp = _product_decl(m, n)
+            names, order, comp = product_decl(m, n)
             a, b = rng.sample(names, 2)
             swapped = dict(comp)
             swapped[a], swapped[b] = comp[b], comp[a]
@@ -197,7 +186,7 @@ def test_custom_tables_match_bound_oracle():
     lats = [_random_custom(rng) for _ in range(600)]
     for m in range(1, 6):
         for n in range(m, 25 // m + 1):
-            names, order, comp = _product_decl(m, n)
+            names, order, comp = product_decl(m, n)
             rng.shuffle(names)
             lats.append(CustomLattice(names, order, comp))
     assert max(len(lat.names) for lat in lats) == 25

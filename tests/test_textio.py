@@ -196,6 +196,22 @@ def test_iso_without_default_must_cover_the_universe():
     parse_iso("iso { b: swap; *: id; }", doc.lattice, doc.universe)
 
 
+def test_iso_drops_a_default_that_no_atom_uses():
+    # The q<->r permutation breaks conflation over shift_cex's complement;
+    # only an atom that falls back on the default brings it into play.
+    text = fixture_text("shift_cex.arp")
+    spec = "iso { a: id; *: perm(q->r, r->q); }"
+    doc = parse(text)
+    iso = parse_iso(spec, doc.lattice, doc.universe)
+    assert iso.default is None and iso.preserves_conflation()
+    once = serialize(Document(doc.lattice, doc.syntax, doc.universe, doc.program,
+                              doc.init, doc.candidate, iso))
+    assert "iso {\n  a: id;\n}" in once and "*:" not in once
+    wide = parse(text.replace("universe { a }", "universe { a, b }"))
+    iso = parse_iso(spec, wide.lattice, wide.universe)
+    assert iso.default is not None and not iso.preserves_conflation()
+
+
 def test_iso_star_default_and_composition():
     doc = parse("lattice powerset { p, q }\nuniverse { a, b }\nprogram { }\n")
     iso = parse_iso("iso { a: perm(p->q, q->p) swap; *: id; }",

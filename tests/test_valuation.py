@@ -25,6 +25,9 @@ from annrev import (
 )
 from helpers import (
     chain4,
+    chain_product,
+    diamond_fixed,
+    label_involution_powerset,
     oatom,
     old_program,
     oracle_diff,
@@ -226,8 +229,12 @@ def test_build_rejects_unknown_atom():
 
 
 @pytest.mark.parametrize("make", [
-    TwoLattice, chain4, powerset_pq, powerset_pqr_custom, UnitChain,
-], ids=["two", "chain4", "powerset_pq", "pqr_complement", "unit_quarters"])
+    TwoLattice, chain4, powerset_p, powerset_pq, lambda: PowersetLattice("pqrs"),
+    powerset_pqr_custom,
+    lambda: label_involution_powerset(("p", "q", "r", "s"), [("p", "s")]),
+    diamond_fixed, lambda: chain_product(2, 3), UnitChain,
+], ids=["two", "chain4", "powerset_p", "powerset_pq", "powerset_pqrs", "pqr_complement",
+        "pqrs_involution", "diamond_fixed", "chain_2x3", "unit_quarters"])
 def test_diff_and_transformable_match_full_pair_space_oracle(make):
     rng = random.Random(29)
     lat = make()
@@ -245,3 +252,21 @@ def test_diff_and_transformable_match_full_pair_space_oracle(make):
         assert diff(R, B) == oracle_diff(R, B)
         reached += ok
     assert 0 < reached < 300
+
+
+@pytest.mark.parametrize("make", [
+    TwoLattice, chain4, powerset_pq, powerset_pqr_custom, diamond_fixed,
+], ids=["two", "chain4", "powerset_pq", "pqr_complement", "diamond_fixed"])
+def test_diff_matches_oracle_on_every_one_atom_pair(make):
+    lat = make()
+    space = pair_space(lat)
+    reached = 0
+    for r in space:
+        R = PairValuation(lat, {"a": r})
+        for b in space:
+            B = PairValuation(lat, {"a": b})
+            ok = oracle_transformable(B, R)
+            assert transformable(B, R) == ok
+            assert diff(R, B) == oracle_diff(R, B)
+            reached += ok
+    assert 0 < reached < len(space) ** 2
