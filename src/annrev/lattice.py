@@ -90,8 +90,9 @@ class Elem:
 class Lattice:
     """Base class for lattice handles.
 
-    Handles compare by identity and are immutable after construction, so they
-    are safe to share between concurrent readers.
+    Handles compare by identity and are immutable after construction: no
+    method writes an attribute, so they are safe to share between
+    concurrent readers.
     """
 
     kind = "abstract"
@@ -152,23 +153,45 @@ class Lattice:
         return out
 
     def is_boolean(self) -> bool:
-        """True when the complement is a Boolean complement."""
-        cached = getattr(self, "_boolean", None)
-        if cached is None:
-            if not self.is_finite:
-                cached = False
-            else:
-                bot, top = self.bot, self.top
-                cached = all((x & ~x) == bot and (x | ~x) == top for x in self.elements())
-            self._boolean = cached
-        return cached
+        """True when the complement is a Boolean complement.  Infinite
+        lattices answer False; finite ones scan every element, each call."""
+        if not self.is_finite:
+            return False
+        bot, top = self.bot, self.top
+        return all((x & ~x) == bot and (x | ~x) == top for x in self.elements())
 
     def format_element(self, x: Elem) -> str:
         raise NotImplementedError
 
 
-class LevelChain(Lattice):
-    """Finite totally ordered lattice of named levels, least level first.
+class _Chain(Lattice):
+    """Totally ordered lattice on element keys that compare with ``<=``.
+    Subclasses set ``_bot`` and ``_top`` and supply the complement."""
+
+    def leq(self, x, y):
+        return x.key <= y.key
+
+    def meet(self, x, y):
+        return x if x.key <= y.key else y
+
+    def join(self, x, y):
+        return x if x.key >= y.key else y
+
+    @property
+    def bot(self):
+        return self._bot
+
+    @property
+    def top(self):
+        return self._top
+
+    def pcomp(self, alpha, beta):
+        return self._bot if beta.key <= alpha.key else beta
+
+
+class LevelChain(_Chain):
+    """Finite chain of named levels, least level first; each element's key
+    is its level's index.
 
     The complement reverses the chain, which is the unique De Morgan
     involution on a finite chain.
@@ -185,6 +208,7 @@ class LevelChain(Lattice):
         self.names = names
         self._elems = tuple(Elem(self, i) for i in range(len(names)))
         self._index = {n: i for i, n in enumerate(names)}
+        self._bot, self._top = self._elems[0], self._elems[-1]
 
     def element(self, name: str) -> Elem:
         try:
@@ -195,28 +219,8 @@ class LevelChain(Lattice):
     def elements(self):
         return self._elems
 
-    def leq(self, x, y):
-        return x.key <= y.key
-
-    def meet(self, x, y):
-        return x if x.key <= y.key else y
-
-    def join(self, x, y):
-        return x if x.key >= y.key else y
-
     def complement(self, x):
         return self._elems[len(self._elems) - 1 - x.key]
-
-    @property
-    def bot(self):
-        return self._elems[0]
-
-    @property
-    def top(self):
-        return self._elems[-1]
-
-    def pcomp(self, alpha, beta):
-        return self.bot if beta.key <= alpha.key else beta
 
     def format_element(self, x):
         return self.names[x.key]
@@ -239,14 +243,15 @@ class TwoLattice(LevelChain):
         return self.top
 
 
-class UnitChain(Lattice):
-    """The chain of exact rationals in [0, 1] with complement 1 - x.
+class UnitChain(_Chain):
+    """The chain of exact rationals in [0, 1] with complement 1 - x; each
+    element's key is its ``Fraction``.
 
-    Values are exact fractions; decimal text is converted on input and never
-    reappears in output.  The chain is infinite, so exhaustive operations
-    are refused.  It is totally ordered, hence distributive over arbitrary
-    joins and meets; that is a property of linear orders and is not checked
-    mechanically.
+    Decimal text is converted on input and never reappears in output.  The
+    chain is infinite, so exhaustive operations are refused and
+    ``is_boolean`` is False.  It is totally ordered, hence distributive over
+    arbitrary joins and meets; that is a property of linear orders and is
+    not checked mechanically.
     """
 
     kind = "unit"
@@ -266,31 +271,8 @@ class UnitChain(Lattice):
             raise LatticeError(f"chain value {f} outside [0, 1]")
         return Elem(self, f)
 
-    def leq(self, x, y):
-        return x.key <= y.key
-
-    def meet(self, x, y):
-        return x if x.key <= y.key else y
-
-    def join(self, x, y):
-        return x if x.key >= y.key else y
-
     def complement(self, x):
         return self.element(1 - x.key)
-
-    @property
-    def bot(self):
-        return self._bot
-
-    @property
-    def top(self):
-        return self._top
-
-    def pcomp(self, alpha, beta):
-        return self._bot if beta.key <= alpha.key else beta
-
-    def is_boolean(self):
-        return False
 
     def format_element(self, x):
         f = x.key
@@ -416,11 +398,12 @@ def _bound_table(down, up):
 class CustomLattice(Lattice):
     """Finite lattice from an explicit order relation and complement table.
 
-    Meets and joins are precomputed at construction so the engine pays O(1)
-    per operation.  Construction closes the order reflexively and
-    transitively, and fills a meet (join) entry only with the common lower
-    (upper) bound that lies above (below) every other one.  So the order is
-    a preorder and every entry is a greatest lower or least upper bound;
+    The order is kept only as bitmask rows, ``_up[i]`` holding every
+    ``k >= i`` and ``_down[i]`` every ``k <= i``, closed reflexively and
+    transitively at construction.  Meets and joins are precomputed from the
+    rows so the engine pays O(1) per operation, and an entry is only the
+    common lower (upper) bound above (below) every other one.  So the order
+    is a preorder and every entry is a greatest lower or least upper bound;
     antisymmetry, missing entries, distributivity and the complement are
     the business of validate().
     """
@@ -436,27 +419,23 @@ class CustomLattice(Lattice):
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
         n = len(names)
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        up = [1 << i for i in range(n)]
         for a, b in order_pairs:
             if a not in self._index or b not in self._index:
                 raise LatticeError(f"order pair ({a!r}, {b!r}) uses unknown elements")
-            leq[self._index[a]][self._index[b]] = True
+            up[self._index[a]] |= 1 << self._index[b]
         for k in range(n):
             for i in range(n):
-                if leq[i][k]:
-                    row_k = leq[k]
-                    row_i = leq[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        self._leq = leq
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        down = [sum(1 << k for k in range(n) if up[k] >> i & 1) for i in range(n)]
+        self._up, self._down = up, down
         self._elems = tuple(Elem(self, i) for i in range(n))
-        below = [sum(1 << k for k in range(n) if leq[k][i]) for i in range(n)]
-        above = [sum(1 << k for k in range(n) if leq[i][k]) for i in range(n)]
-        self._meet = _bound_table(below, above)
-        self._join = _bound_table(above, below)
-        bots = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-        tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
+        self._meet = _bound_table(down, up)
+        self._join = _bound_table(up, down)
+        full = (1 << n) - 1
+        bots = [i for i in range(n) if up[i] == full]
+        tops = [i for i in range(n) if down[i] == full]
         self._bot = self._elems[bots[0]] if len(bots) == 1 else None
         self._top = self._elems[tops[0]] if len(tops) == 1 else None
         comp = {}
@@ -479,7 +458,7 @@ class CustomLattice(Lattice):
         return self._elems
 
     def leq(self, x, y):
-        return self._leq[x.key][y.key]
+        return self._up[x.key] >> y.key & 1 == 1
 
     def meet(self, x, y):
         m = self._meet[x.key][y.key]
@@ -511,17 +490,19 @@ class CustomLattice(Lattice):
         return self._top
 
     def cover_pairs(self):
-        """Transitive reduction of the order, for canonical serialization."""
-        n = len(self._elems)
-        leq = self._leq
+        """Transitive reduction of the order, for canonical serialization:
+        the covers of ``i`` are the elements strictly above ``i`` that lie
+        strictly above none of the others.  O(n^2) bit operations."""
+        names, n = self.names, len(self._up)
+        strict = [row & ~(1 << i) for i, row in enumerate(self._up)]
         out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
-                    continue
-                out.append((self.names[i], self.names[j]))
+        for i, above in enumerate(strict):
+            blocked = 0
+            for k in range(n):
+                if above >> k & 1:
+                    blocked |= strict[k]
+            covers = above & ~blocked
+            out += [(names[i], names[j]) for j in range(n) if covers >> j & 1]
         return tuple(out)
 
     def format_element(self, x):
@@ -549,10 +530,10 @@ def validate(lat: Lattice) -> ValidationReport:
     Every kind must be a bounded distributive lattice whose complement is an
     order-reversing involution subject to both De Morgan laws.
 
-    - Chains are valid as built.  Level chains (and ``two``) are distinct
-      integer levels under ``<=``, the unit chain is the exact rationals in
-      [0, 1], and each complement (reversal, ``1 - x``) is an
-      order-reversing involution.  A total order is distributive, and an
+    - Chains (every ``_Chain``) are valid as built.  Level chains (and
+      ``two``) are distinct integer levels under ``<=``, the unit chain is
+      the exact rationals in [0, 1], and each complement (reversal,
+      ``1 - x``) is an order-reversing involution.  A total order is distributive, and an
       order-reversing involution of it satisfies both De Morgan laws.
     - Powersets are a Boolean lattice under inclusion, and set difference is
       its complement, so the default complement is valid as built.  An
@@ -561,16 +542,17 @@ def validate(lat: Lattice) -> ValidationReport:
       the whole order; an order-reversing involution is a dual automorphism,
       so both De Morgan laws follow.  That is ``n * 2**n`` checks in place
       of a cubic scan.
-    - Custom lattices are checked on their int tables for what construction
-      leaves open: antisymmetry, then existence of every binary meet and
-      join, then distributivity on every triple, then the complement axioms.
-      Reflexivity, transitivity and the extremality of each table entry hold
-      as built, and a finite partial order with all binary meets and joins
-      has a bottom and a top.  Distributivity is the one cubic loop.
+    - Custom lattices are checked on their order rows and int tables for
+      what construction leaves open: antisymmetry, then existence of every
+      binary meet and join, then distributivity on every triple, then the
+      complement axioms.  Reflexivity, transitivity and the extremality of
+      each table entry hold as built, and a finite partial order with all
+      binary meets and joins has a bottom and a top.  Distributivity is the
+      one cubic loop.
 
     Failures name the first offender found.
     """
-    if isinstance(lat, (LevelChain, UnitChain)):
+    if isinstance(lat, _Chain):
         return ValidationReport(True)
     if isinstance(lat, PowersetLattice):
         return _validate_powerset(lat)
@@ -596,12 +578,13 @@ def _validate_powerset(lat: PowersetLattice) -> ValidationReport:
 
 
 def _validate_custom(lat: CustomLattice) -> ValidationReport:
-    leq, meet, join, comp, names = lat._leq, lat._meet, lat._join, lat._comp, lat.names
+    up, meet, join, comp, names = lat._up, lat._meet, lat._join, lat._comp, lat.names
     els = range(len(names))
     for x in els:
-        for y in els:
-            if leq[x][y] and leq[y][x] and x != y:
-                return _fail(f"order not antisymmetric at {names[x]}, {names[y]}")
+        equal = up[x] & lat._down[x] & ~(1 << x)
+        if equal:
+            y = (equal & -equal).bit_length() - 1
+            return _fail(f"order not antisymmetric at {names[x]}, {names[y]}")
     for x in els:
         for y in els:
             if meet[x][y] is None:
@@ -624,7 +607,7 @@ def _validate_custom(lat: CustomLattice) -> ValidationReport:
             return _fail(f"complement not an involution at {names[x]}")
     for x in els:
         for y in els:
-            if leq[x][y] and not leq[comp[y]][comp[x]]:
+            if up[x] >> y & 1 and not up[comp[y]] >> comp[x] & 1:
                 return _fail(f"complement not order-reversing at {names[x]}, {names[y]}")
             if comp[join[x][y]] != meet[comp[x]][comp[y]]:
                 return _fail(f"De Morgan law (join) fails at {names[x]}, {names[y]}")

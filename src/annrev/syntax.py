@@ -113,7 +113,7 @@ class Program:
     total mappings.
     """
 
-    __slots__ = ("syntax", "lattice", "universe", "rules", "__weakref__")
+    __slots__ = ("syntax", "lattice", "universe", "rules")
 
     def __init__(self, syntax, lattice, universe, rules):
         if syntax not in (OLD, NEW):

@@ -651,10 +651,7 @@ def _iso_expr_text(m: PairMap, lat):
         moved = []
         if isinstance(lat, PowersetLattice):
             for l in lat.labels:
-                img = perm[lat.element(frozenset([l]))]
-                if len(img.key) != 1:
-                    raise ValueError("permutation does not arise from a label permutation")
-                (target,) = img.key
+                (target,) = perm[lat.element(frozenset([l]))].key
                 if target != l:
                     moved.append((l, target))
         else:

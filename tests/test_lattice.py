@@ -25,7 +25,8 @@ from annrev import (
     top_pair,
     validate,
 )
-from helpers import axiom_scan, bound_oracle, powerset_pq, powerset_pqr_custom, product_decl
+from helpers import (
+    axiom_scan, bound_oracle, chain_product, powerset_pq, powerset_pqr_custom, product_decl)
 
 unit = UnitChain()
 
@@ -181,7 +182,9 @@ def test_validate_matches_axiom_scan_on_large_grids():
     assert grids == 30
 
 
-def test_custom_tables_match_bound_oracle():
+def _oracle_lattices():
+    """600 random custom lattices and every grid of chains up to 25
+    elements, in shuffled element order."""
     rng = random.Random(21)
     lats = [_random_custom(rng) for _ in range(600)]
     for m in range(1, 6):
@@ -189,12 +192,34 @@ def test_custom_tables_match_bound_oracle():
             names, order, comp = product_decl(m, n)
             rng.shuffle(names)
             lats.append(CustomLattice(names, order, comp))
+    return lats
+
+
+def test_custom_tables_match_bound_oracle():
+    lats = _oracle_lattices()
     assert max(len(lat.names) for lat in lats) == 25
     assert any(None in row for lat in lats for row in lat._meet + lat._join)
     for lat in lats:
-        size = range(len(lat.names))
-        assert lat._meet == [[bound_oracle(lat._leq, i, j, True) for j in size] for i in size]
-        assert lat._join == [[bound_oracle(lat._leq, i, j, False) for j in size] for i in size]
+        els = lat.elements()
+        leq = [[lat.leq(x, y) for y in els] for x in els]
+        size = range(len(els))
+        assert lat._meet == [[bound_oracle(leq, i, j, True) for j in size] for i in size]
+        assert lat._join == [[bound_oracle(leq, i, j, False) for j in size] for i in size]
+
+
+def test_cover_pairs_match_transitive_reduction():
+    # The definition: x < y with no third element between them.  On a
+    # relation with cycles "<" means "<= and distinct".
+    cyclic = 0
+    for lat in _oracle_lattices():
+        els = lat.elements()
+        expected = tuple(
+            (repr(x), repr(y)) for x in els for y in els
+            if x != y and x <= y
+            and not any(z != x and z != y and x <= z <= y for z in els))
+        assert lat.cover_pairs() == expected
+        cyclic += any(x != y and x <= y <= x for x in els for y in els)
+    assert cyclic > 0
 
 
 def _powerset_tables(rng, labels):
@@ -423,6 +448,22 @@ def test_negation_rejects_non_boolean():
         negation(PairValue(unit_elem(Fraction(1, 2)), unit.bot))
     with pytest.raises(UnsupportedOperationError):
         negation(bot_pair(LevelChain(("c0", "c1", "c2"))))
+
+
+@pytest.mark.parametrize("make", [
+    powerset_pq, lambda: LevelChain(("c0", "c1", "c2")),
+    lambda: chain_product(2, 2), lambda: chain_product(2, 3)])
+def test_is_boolean_and_negation_leave_handle_unchanged(make):
+    lat = make()
+    assert validate(lat).ok
+    before = dict(vars(lat))
+    boolean = lat.is_boolean()
+    try:
+        negation(bot_pair(lat))
+    except UnsupportedOperationError:
+        assert not boolean
+    assert boolean == lat.is_boolean()
+    assert vars(lat) == before
 
 
 # --- distributivity and De Morgan, exhaustive on finite lattices -------------

@@ -17,7 +17,7 @@ from annrev import (
     parse_iso,
     serialize,
 )
-from annrev.textio import _lex, _where
+from annrev.textio import _TOKEN, _lex, _where
 from helpers import (
     Token,
     oracle_lex,
@@ -274,14 +274,34 @@ def _kind(tok):
     return "ident" if tok[0].isalpha() or tok[0] == "_" else "sym"
 
 
-def _lex_result(text):
-    """``(kind, text, line, col)`` per token of ``textio._lex``, the position
-    from ``_where``, or the text of its ``DslLexError``."""
+def _positions(text):
+    """Line and column of every token of ``text`` and of its end, from one
+    walk over the token matches."""
+    starts = [m.start() for m in _TOKEN.finditer(text) if m.lastindex]
+    out, line, bol, prev = [], 1, 0, 0
+    for pos in starts + [len(text)]:
+        line += text.count("\n", prev, pos)
+        bol = text.rfind("\n", prev, pos) + 1 or bol
+        out.append((line, pos - bol + 1))
+        prev = pos
+    return out
+
+
+def _lex_result(text, every_token=False):
+    """``(kind, text, line, col)`` per token of ``textio._lex``, or the text
+    of its ``DslLexError``.  Positions come from ``_positions``; ``_where``
+    must agree with it on every token when ``every_token`` is set, and on
+    the first, last and eof tokens otherwise."""
     try:
         tokens = _lex(text)
     except DslLexError as e:
         return str(e)
-    return [Token(_kind(t), t, *_where(text, k)) for k, t in enumerate(tokens)]
+    where = _positions(text)
+    assert len(where) == len(tokens)
+    eof = len(tokens) - 1
+    for k in range(len(tokens)) if every_token else {0, max(eof - 1, 0), eof}:
+        assert _where(text, k) == where[k]
+    return [Token(_kind(t), t, *w) for t, w in zip(tokens, where)]
 
 
 def _oracle_result(text):
@@ -291,8 +311,8 @@ def _oracle_result(text):
         return str(e)
 
 
-def _assert_lexes_like_oracle(text):
-    got, want = _lex_result(text), _oracle_result(text)
+def _assert_lexes_like_oracle(text, every_token=False):
+    got, want = _lex_result(text, every_token), _oracle_result(text)
     if got != want and isinstance(got, list) and isinstance(want, list):
         # The oracle does not advance the column over a comment, so its
         # eof after a final comment with no newline sits at the '#'.
@@ -311,7 +331,7 @@ def test_lexer_matches_character_oracle():
     pieces = [chr(c) for c in range(128)] + [
         "é", "٣", " ", "\n", "#", "<-", "->", "1.5", "in(a)", "0.", "x_1"]
     for text in docs:
-        _assert_lexes_like_oracle(text)
+        _assert_lexes_like_oracle(text, every_token=True)
         _assert_lexes_like_oracle(text.rstrip("\n") + "  # trailing comment")
     for _ in range(20000):
         _assert_lexes_like_oracle(
