@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import engine, textio
@@ -99,7 +98,7 @@ def _cmd_validate(doc, args):
             "atoms": len(doc.universe),
             "rules": len(doc.program.rules),
         }
-        print(json.dumps(payload, indent=2))
+        print(textio._json_text(payload))
     else:
         print(f"lattice: {doc.lattice.kind} (valid)")
         print(f"syntax: {doc.syntax}")
@@ -110,7 +109,7 @@ def _cmd_validate(doc, args):
 def _cmd_nc(doc, args):
     nc = engine.necessary_change(doc.program)
     if args.format == "json":
-        print(json.dumps({"necessary_change": textio.valuation_to_json(nc)}, indent=2))
+        print(textio._json_text({"necessary_change": textio.valuation_to_json(nc)}))
     else:
         print("necessary change:")
         _print_valuation(nc)
@@ -123,8 +122,7 @@ def _cmd_check(doc, args):
     model = engine.is_model(doc.program, target)
     smodel = engine.is_smodel(doc.program, target)
     if args.format == "json":
-        print(json.dumps({"target": target_name, "model": model, "smodel": smodel},
-                         indent=2))
+        print(textio._json_text({"target": target_name, "model": model, "smodel": smodel}))
     else:
         print(f"target: {target_name}")
         print(f"model: {str(model).lower()}")
@@ -142,7 +140,7 @@ def _cmd_verify(doc, args):
         payload = {o.semantics: textio.outcome_to_json(o) for o in outcomes}
         if len(outcomes) > 1:
             payload["agreement"] = outcomes[0].verified == outcomes[1].verified
-        print(json.dumps(payload, indent=2))
+        print(textio._json_text(payload))
     else:
         for o in outcomes:
             print(textio.serialize(o, "text"), end="")
@@ -183,7 +181,7 @@ def _cmd_revise(doc, args):
             payload = {"semantics": "both", **reports, "agreement": found[0] == found[1]}
         else:
             (payload,) = reports.values()
-        print(json.dumps(payload, indent=2))
+        print(textio._json_text(payload))
     else:
         for s, (outcomes, _) in runs.items():
             _print_enumeration(s, outcomes)
@@ -229,8 +227,7 @@ def _cmd_diff(doc, args):
     d = valuation_diff(cand, init)
     ok = apply_change(init, d) == cand
     if args.format == "json":
-        print(json.dumps({"transformable": ok, "diff": textio.valuation_to_json(d)},
-                         indent=2))
+        print(textio._json_text({"transformable": ok, "diff": textio.valuation_to_json(d)}))
     else:
         print(f"transformable: {str(ok).lower()}")
         print("diff:")

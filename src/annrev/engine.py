@@ -24,6 +24,7 @@ and ``enumerate_revisions``; enumeration reduces each body once.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -171,7 +172,10 @@ def _lfp(rules, bottom):
     productive when some value changes, which takes a newly fired rule, so
     the fixpoint is reached within #rules productive steps; a further
     productive step is an internal invariant violation.  The trace has one
-    entry per productive step, so its length is the step count.
+    entry per productive step, so its length is the step count.  The fired
+    source indices are kept in one sorted list, which each newly fired rule
+    joins by ``insort``; a productive step appends a tuple copy of it, so
+    no step sorts the whole fired set again.
     """
     watch = {}
     for k, (_, _, _, body) in enumerate(rules):
@@ -179,13 +183,15 @@ def _lfp(rules, bottom):
             watch.setdefault(a, []).append(k)
     vals = dict(bottom)
     fired = set()
+    sources = []
     trace = []
     todo = range(len(rules))
     for _ in range(len(rules) + 1):
         new = [k for k in todo if all(pv <= vals[a] for a, pv in rules[k][3])]
         changed = set()
         for k in new:
-            _, ha, hp, _ = rules[k]
+            i, ha, hp, _ = rules[k]
+            insort(sources, i)
             joined = vals[ha] | hp
             if joined != vals[ha]:
                 vals[ha] = joined
@@ -193,7 +199,7 @@ def _lfp(rules, bottom):
         if not changed:
             return vals, tuple(trace)
         fired.update(new)
-        trace.append(tuple(rules[k][0] for k in sorted(fired)))
+        trace.append(tuple(sources))
         todo = {k for a in changed for k in watch.get(a, ()) if k not in fired}
     raise FixpointBoundError(
         f"no fixpoint within {len(rules) + 1} steps for {len(rules)} rules")

@@ -24,14 +24,23 @@ with one loop for every ``{ item, ... }`` list and one for every
 ``< x, y >`` pair.  A token's kind is read off its first character.  Only
 when an error is raised does ``_where`` scan the text again for the line
 and column of the token it names, so valid input never pays for positions.
+Each parser keeps a memo from the tokens of a ``< x, y >`` pair or of a
+``{ ... }`` set literal to the value they gave, so a pair text that repeats
+across a document is read once; only a read that returned normally and
+consumed exactly those tokens is kept, so errors are raised as without it.
+
+``_json_text`` writes every JSON report, byte for byte what
+``json.dumps(obj, indent=2)`` writes, with one ``join`` per list of plain
+ints or strings where the standard encoder yields one string per token.
 """
 
 from __future__ import annotations
 
-import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .isomorphism import PairIso, PairMap
 from .lattice import (
@@ -134,6 +143,8 @@ class _Parser:
         self.text = text
         self.toks = _lex(text)
         self.i = 0
+        # Token slice of a pair or a set literal -> what it parsed to.
+        self.memo = {}
 
     def peek(self):
         return self.toks[self.i]
@@ -164,6 +175,27 @@ class _Parser:
             self.syntax_error(f"expected {what}, found {t or 'end of input'!r}")
         self.i += 1
         return t
+
+    def memoized(self, close, read, lattice):
+        """``read(self, lattice)`` from the cursor, or its earlier result
+        when the tokens up to the next ``close`` were read before.  A result
+        is kept only when ``read`` consumed exactly those tokens, so a hit
+        is what reading again would return, and every error is raised by
+        the read that meets it, at its own place."""
+        i = self.i
+        try:
+            j = self.toks.index(close, i) + 1
+        except ValueError:
+            return read(self, lattice)
+        key = tuple(self.toks[i:j])
+        value = self.memo.get(key)
+        if value is not None:
+            self.i = j
+            return value
+        value = read(self, lattice)
+        if self.i == j:
+            self.memo[key] = value
+        return value
 
     def syntax_error(self, msg, k=None):
         raise DslSyntaxError(msg, *_where(self.text, self.i if k is None else k))
@@ -297,34 +329,59 @@ def _parse_lattice(p):
     p.syntax_error(f"unknown lattice kind {t!r}", at)
 
 
+def _read_set_element(p, lattice):
+    at = p.i
+    members = _parse_set_literal(p)
+    try:
+        return lattice.element(members)
+    except LatticeError as e:
+        p.sem_error(str(e), at)
+
+
+def _number(p, k, read):
+    """``read`` (``int`` or ``Fraction``) of token ``k``, a decimal numeral.
+    A numeral that ``int`` cannot read, or whose value's numerator or
+    denominator it cannot print, for having more digits than
+    ``sys.get_int_max_str_digits()``, is a located error."""
+    t = p.toks[k]
+    # Interpreters before 3.10.7 have no digit limit.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(t) > limit:
+        try:
+            value = read(t)
+        except ValueError:
+            value = None
+        if value is None or max(value.numerator, value.denominator) >= 10 ** limit:
+            p.sem_error(f"number too long: more than {limit} digits", k)
+        return value
+    return read(t)
+
+
 def _parse_element(p, lattice):
     at = p.i
     t = p.peek()
     if t == "{":
         if lattice.kind != "powerset":
             p.sem_error("set annotations need a powerset lattice")
-        members = _parse_set_literal(p)
-        try:
-            return lattice.element(members)
-        except LatticeError as e:
-            p.sem_error(str(e), at)
+        return p.memoized("}", _read_set_element, lattice)
     if t[:1].isdecimal():
         if lattice.kind != "unit":
             p.sem_error("numeric annotations need the unit chain lattice")
         p.advance()
         if "." in t:
-            value = Fraction(t)
+            value = _number(p, at, Fraction)
         else:
-            value = Fraction(int(t))
+            value = _number(p, at, int)
             if p.at_sym("/"):
                 p.advance()
                 d = p.peek()
                 if not d[:1].isdecimal() or "." in d:
                     p.syntax_error("expected an integer denominator")
-                if int(d) == 0:
+                den = _number(p, p.i, int)
+                if den == 0:
                     p.sem_error("zero denominator")
                 p.advance()
-                value = Fraction(int(t), int(d))
+                value = Fraction(value, den)
         try:
             return lattice.element(value)
         except LatticeError as e:
@@ -363,7 +420,11 @@ def _parse_old_atom(p, lattice, uset):
 
 
 def _parse_pair(p, lattice):
-    """``< x , y >``: one evidence pair."""
+    """``< x , y >``: one evidence pair, read once per distinct text."""
+    return p.memoized(">", _read_pair, lattice)
+
+
+def _read_pair(p, lattice):
     p.expect_sym("<")
     x = _parse_element(p, lattice)
     p.expect_sym(",")
@@ -695,6 +756,45 @@ def serialize_document(doc: Document) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _json_text(obj, indent="") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for the str, bool, int,
+    list, tuple and dict values that the JSON reports hold (dict keys are
+    str); any other type raises ``TypeError``.  The standard encoder yields
+    one Python string per token when it indents; this writer renders a list
+    of plain ints, or of plain strs, with one join, so a ``trace`` costs one
+    call per step and a valuation one per atom."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {int}:
+            items = map(int.__repr__, obj)
+        elif types == {str}:
+            items = map(encode_basestring_ascii, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _json_text(v, inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def valuation_to_json(v: PairValuation) -> dict:
     return {a: [repr(pv.pos), repr(pv.neg)] for a, pv in v.items()}
 
@@ -745,11 +845,11 @@ def serialize(obj, fmt: str = "text") -> str:
     if isinstance(obj, Document):
         if fmt == "text":
             return serialize_document(obj)
-        return json.dumps(document_to_json(obj), indent=2) + "\n"
+        return _json_text(document_to_json(obj)) + "\n"
     if isinstance(obj, PairValuation):
         if fmt == "text":
             return obj.canonical_text() + "\n"
-        return json.dumps(valuation_to_json(obj), indent=2) + "\n"
+        return _json_text(valuation_to_json(obj)) + "\n"
     if hasattr(obj, "candidate") and hasattr(obj, "necessary_change"):
         if fmt == "text":
             lines = [f"semantics: {obj.semantics}",
@@ -759,5 +859,5 @@ def serialize(obj, fmt: str = "text") -> str:
             lines.append("necessary change:")
             lines += [f"  {l}" for l in obj.necessary_change.canonical_text().splitlines()]
             return "\n".join(lines) + "\n"
-        return json.dumps(outcome_to_json(obj), indent=2) + "\n"
+        return _json_text(outcome_to_json(obj)) + "\n"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

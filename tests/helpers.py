@@ -340,6 +340,30 @@ def literal_justification(p, B_I, B_R, semantics="mpt"):
     raise AssertionError("the reduct's operator reached no fixpoint")
 
 
+def reference_lfp(lat, universe, sources, rules):
+    """Least fixpoint and trace of the public rule objects ``rules``, rule
+    ``k`` standing for source rule ``sources[k]``, iterated naively from the
+    bottom valuation: each step tests every rule, and each productive step
+    records ``tuple(sorted(fired))``, the sources of every rule whose body
+    the current values satisfy.  Returns (atom -> pair, trace); shares no
+    code with the engine's loop."""
+    bottom = PairValue(lat.bot, lat.bot)
+    compiled = [(i, *_head_pair(lat, r.head), [_head_pair(lat, b) for b in r.body])
+                for i, r in zip(sources, rules)]
+    vals = dict.fromkeys(universe, bottom)
+    trace = []
+    while True:
+        fired = {i for i, _, _, body in compiled if all(pv <= vals[a] for a, pv in body)}
+        image = dict.fromkeys(universe, bottom)
+        for i, a, pv, _ in compiled:
+            if i in fired:
+                image[a] = image[a] | pv
+        if image == vals:
+            return vals, tuple(trace)
+        trace.append(tuple(sorted(fired)))
+        vals = image
+
+
 def brute_force_revisions(p, B_I, semantics="mpt"):
     """Guess-and-check oracle: every valuation over ``oracle_space`` checked
     with ``literal_justification``, verified outcomes in canonical order."""

@@ -353,6 +353,32 @@ def test_non_decimal_digit_is_a_located_input_error(capsys, tmp_path):
     assert run(capsys, "nc", doc) == (0, "necessary change:\n  a = <3/4, 0>.\n", "")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter reads integers of any length")
+@pytest.mark.parametrize("command", ["nc", "check", "verify", "diff", "revise"])
+@pytest.mark.parametrize("numeral, col", [
+    (lambda n: "9" * (n + 1), 9),                     # numerator
+    (lambda n: "1/" + "9" * (n + 1), 11),             # denominator
+    (lambda n: "0." + "9" * (n + 1), 9),              # fraction part
+    (lambda n: "9" * (n + 1) + ".5", 9),              # integer part
+    (lambda n: "0." + "0" * (n - 1) + "1", 9),        # denominator 10**n: unprintable
+], ids=["numerator", "denominator", "decimal-fraction", "decimal-integer",
+        "decimal-unprintable"])
+def test_over_long_number_is_a_located_input_error(capsys, tmp_path, command, numeral, col):
+    limit = sys.get_int_max_str_digits()
+    doc = tmp_path / "long.arp"
+    doc.write_text("lattice chain unit\nuniverse { a }\nprogram {\n"
+                   f"  in(a):{numeral(limit)} <- .\n}}\n"
+                   "init { a = <0, 0>. }\ncandidate { a = <1, 0>. }\n", encoding="utf-8")
+    assert run(capsys, command, doc) == (
+        2, "", f"error: line 4, col {col}: number too long: more than {limit} digits\n")
+    # A numeral longer than the limit whose parts and value fit reads as before.
+    doc.write_text("lattice chain unit\nuniverse { a }\nprogram {\n"
+                   f"  in(a):0.5{'0' * (limit - 2)} <- .\n}}\n"
+                   "init { a = <0, 0>. }\ncandidate { a = <1/2, 0>. }\n", encoding="utf-8")
+    assert run(capsys, command, doc)[0] in (0, 1)
+
+
 def test_document_not_utf8_is_a_located_input_error(capsys, tmp_path):
     doc = tmp_path / "latin1.arp"
     doc.write_bytes(b"lattice two\r\nuniverse { a\xe9 }\nprogram { }\n")

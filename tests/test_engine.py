@@ -51,8 +51,10 @@ from helpers import (
     random_valuation,
     revision_set,
     unit_quarters,
+    reference_lfp,
     valuation,
 )
+from annrev.engine import _bottom, _compile, _lfp
 
 FIXTURES = Path(__file__).parent / "fixtures"
 unit = UnitChain()
@@ -515,6 +517,60 @@ def test_deep_chain_verification_agrees_with_definition():
         assert late not in trace[-1]
         assert set(trace[-1]) == set(range(len(p.rules))) - {late}
     assert verdicts == {True, False}
+
+
+def _trace_problems(rng):
+    """(program, initial valuation or None, candidates): every fixture, with
+    its init, its candidate, its init revised by the necessary change and
+    its revisions; then seeded random and deep-chain problems with random
+    candidates and the init revised by the necessary change."""
+    for path in sorted(FIXTURES.glob("*.arp")):
+        doc = parse(path.read_text())
+        p, B_I = doc.program, doc.init
+        if B_I is None:
+            yield p, None, []
+            continue
+        cands = [B_I, apply_change(B_I, necessary_change(p))]
+        cands += [doc.candidate] if doc.candidate is not None else []
+        cands += [o.candidate for o in enumerate_revisions(p, B_I)]
+        yield p, B_I, cands
+    problems = [(p, B_I, els) for p, B_I, els in _random_problems(rng)]
+    problems += [(p, random_valuation(rng, p.lattice, p.universe, els=els), els)
+                 for p, _, _, els in _deep_problems(rng)]
+    for p, B_I, els in problems:
+        cands = [random_valuation(rng, p.lattice, p.universe, els=els) for _ in range(2)]
+        yield p, B_I, cands + [apply_change(B_I, necessary_change(p))]
+
+
+def _assert_nested(trace):
+    for step in trace:
+        assert list(step) == sorted(set(step))
+    for step, after in zip(trace, trace[1:]):
+        assert set(step) < set(after)
+
+
+def test_trace_matches_sorted_fired_reference():
+    # The engine's incremental trace against a naive loop that sorts the
+    # fired set on every productive step: for the necessary change (the
+    # loop ``necessary_change`` runs) and for each candidate check, whose
+    # reference iterates the public ``reduct``/``f_reduct``.
+    steps = 0
+    for p, B_I, candidates in _trace_problems(random.Random(71)):
+        vals, trace = _lfp(_compile(p), _bottom(p))
+        assert (vals, trace) == reference_lfp(
+            p.lattice, p.universe, range(len(p.rules)), p.rules)
+        assert PairValuation(p.lattice, vals) == necessary_change(p)
+        _assert_nested(trace)
+        steps += len(trace)
+        for B_R in candidates:
+            for semantics in (MPT, FITTING):
+                got = is_justified_revision(p, B_I, B_R, semantics)
+                red = (reduct if semantics == MPT else f_reduct)(p, B_I, B_R)
+                change, trace = reference_lfp(p.lattice, p.universe, red.sources, red.rules)
+                assert got.trace == trace
+                assert got.necessary_change == PairValuation(p.lattice, change)
+                _assert_nested(got.trace)
+    assert steps > 100
 
 
 def test_enumeration_deterministic():

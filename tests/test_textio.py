@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from annrev import (
     Document,
@@ -17,7 +19,7 @@ from annrev import (
     parse_iso,
     serialize,
 )
-from annrev.textio import _TOKEN, _lex, _where
+from annrev.textio import _TOKEN, _json_text, _lex, _where
 from helpers import (
     Token,
     oracle_lex,
@@ -404,3 +406,108 @@ def test_iso_error_texts(text, message):
     with pytest.raises(DslSyntaxError) as exc:
         parse_iso(text, doc.lattice, doc.universe)
     assert str(exc.value) == message
+
+
+# Keys and strings mix ASCII, quotes, backslashes, control characters and
+# characters beyond ASCII and beyond the basic plane, which the writer must
+# escape as ``json.dumps`` does.
+_json_strings = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\ufeff\U0001f600'),
+    st.characters()))
+_json_scalars = st.one_of(st.booleans(), st.integers(), _json_strings)
+_json_values = st.recursive(_json_scalars, lambda kids: st.one_of(
+    st.lists(kids, max_size=5),
+    st.lists(kids, max_size=5).map(tuple),
+    st.dictionaries(_json_strings, kids, max_size=5),
+    # Lists that mix bools and ints, and all-int and all-str lists, which
+    # take the writer's one-join path.
+    st.lists(st.one_of(st.booleans(), st.integers()), max_size=8),
+    st.lists(st.integers(), max_size=8),
+    st.lists(_json_strings, max_size=5)), max_leaves=40)
+
+
+@given(_json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_edge_cases():
+    for obj in ([], {}, (), [[]], {"": {}}, [True, 1, False, 0], (1, (2, ())),
+                {"a": [[1, 2], [3]], "b": ["x", True]}, -0, 10**30, "\ud800"):
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+    for obj in (1.5, None, {1}, [b""], {1: "int key"}, {("a",): 1}):
+        with pytest.raises(TypeError):
+            _json_text(obj)
+
+
+def test_json_writer_renders_every_report_as_json_dumps():
+    for name in sorted(p.name for p in FIXTURES.glob("*.arp")):
+        doc = parse(fixture_text(name))
+        text = serialize(doc, "json")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        if doc.init is not None:
+            for out in enumerate_revisions(doc.program, doc.init):
+                text = serialize(out, "json")
+                assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_PQ_HEAD = "lattice powerset { p, q }\nsyntax new\nuniverse { a, b, c, d }\n"
+
+
+def test_repeated_pair_texts_parse_as_single_ones():
+    # One pair text in a rule body and in four init entries, with blanks and
+    # comments inside some copies, against the same document with each
+    # pair written once in its own document.
+    copies = ["<{p}, {q}>", "< {p} ,{q} >", "<\n  {p}, # a comment\n {q}\n>",
+              "<{ p }, { q }>"]
+    text = (_PQ_HEAD + "program {\n  a: <{p}, {q}> <- b: <{p}, {q}>.\n"
+            "  c: <{p}, {}> <- d: <{p}, {q}>, a: <{p}, {}>.\n}\ninit {\n"
+            + "".join(f"  {a} = {c}.\n" for a, c in zip("abcd", copies)) + "}\n")
+    doc = parse(text)
+    want = parse(_PQ_HEAD + "program { }\ninit { a = <{p}, {q}>. }\n").init["a"]
+    for a in "abcd":
+        assert doc.init[a].pos.key == want.pos.key and doc.init[a].neg.key == want.neg.key
+        assert doc.init[a].pos.lattice is doc.lattice
+    assert str(doc.program.rules[0]) == "a:<{p},{q}> <- b:<{p},{q}>."
+    assert str(doc.program.rules[1]) == "c:<{p},{}> <- d:<{p},{q}>, a:<{p},{}>."
+    # Copies with the same tokens give back the same immutable value.
+    assert doc.init["a"] is doc.program.rules[0].head.ann is doc.program.rules[0].body[0].ann
+    old = parse("lattice powerset { p, q }\nuniverse { a }\n"
+                "program { in(a):{p,q} <- out(a):{ p, q }, in(a):{q, p}. }\n")
+    (rule,) = old.program.rules
+    assert rule.head.ann == rule.body[0].ann == rule.body[1].ann
+    assert rule.head.ann is rule.body[0].ann
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # A bad pair that repeats is reported where it first stands.
+    (_PQ_HEAD + "program { }\ninit {\n  a = <{p}, {q}>.\n  b = <{p}, {z}>.\n"
+     "  c = <{p}, {z}>.\n}\n", DslSemanticError, "line 7, col 13: unknown labels ['z']"),
+    # A pair missing its '>', followed by a copy of a pair read before: the
+    # next '>' closes the following pair, and the error is the one without
+    # a memo.
+    (_PQ_HEAD + "program { }\ninit {\n  a = <{p}, {q}>.\n  b = <{p}, {q} .\n"
+     "  c = <{p}, {q}>.\n}\n", DslSyntaxError, "line 7, col 17: expected '>', found '.'"),
+    (_PQ_HEAD + "program { a: <{p}, {q}> <- b: <{p}, {q}.\n  c: <{p}, {q}> <- . }\n",
+     DslSyntaxError, "line 4, col 40: expected '>', found '.'"),
+    # A set literal missing its '}' runs into the next one.
+    ("lattice powerset { p, q }\nuniverse { a }\n"
+     "program { in(a):{p} <- in(a):{p. in(a):{p} <- . }\n",
+     DslSyntaxError, "line 3, col 32: expected '}', found '.'"),
+])
+def test_memo_keeps_error_texts(text, error, message):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_memo_is_per_parse():
+    text = _PQ_HEAD + "program { a: <{p}, {q}> <- . }\ninit { a = <{p}, {q}>. }\n"
+    one, two = parse(text), parse(text)
+    assert one.lattice is not two.lattice
+    for doc in (one, two):
+        pv = doc.init["a"]
+        assert pv.pos.lattice is doc.lattice and pv.neg.lattice is doc.lattice
+        assert doc.program.rules[0].head.ann.pos.lattice is doc.lattice
+    assert one.init["a"] is not two.init["a"]
