@@ -80,7 +80,8 @@ def _read(path):
 def _need(doc, which, command):
     v = getattr(doc, which)
     if v is None:
-        raise textio.DslSemanticError(f"{command} needs an {which} block")
+        article = "an" if which[0] in "aeiou" else "a"
+        raise textio.DslSemanticError(f"{command} needs {article} {which} block")
     return v
 
 

@@ -20,6 +20,10 @@ an atom whose value just changed, and it reaches the fixpoint within
 satisfies and reduces only their bodies, serves ``is_justified_revision``
 and ``enumerate_revisions``; enumeration reduces each body once.
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
+Both rule syntaxes reach this module through the annotated atoms' ``atom``
+and ``pair`` (``in(a):x`` is ``<x, bot>``, ``out(a):x`` is ``<bot, x>``),
+and the reducts rewrite an annotation through ``with_pair``, so nothing
+here reads the polarity of a revision atom.
 """
 
 from __future__ import annotations
@@ -31,20 +35,11 @@ from math import prod
 
 from .lattice import (
     LatticeMismatchError,
-    PairValue,
     UnsupportedOperationError,
     bot_pair,
     pcomp_pair,
 )
-from .syntax import (
-    IN,
-    OLD,
-    AnnotatedRevisionAtom,
-    NewRule,
-    OldRule,
-    PairAnnotatedAtom,
-    Program,
-)
+from .syntax import OLD, Program
 from .valuation import PairValuation, TValuation, satisfies, theta, theta_inv
 
 MPT = "mpt"
@@ -83,20 +78,11 @@ def _check_compatible(p, *valuations):
 
 def _compile(p: Program):
     """Compiled form of the rules: one ``(source_index, head_atom, head_pair,
-    body)`` tuple per rule, the body a tuple of ``(atom, pair)``.
-    Revision-atom annotations occupy one side of the pair, the other side
-    resting at bottom; satisfaction, the one-step operator, and both reducts
-    agree with the literal definitions under this encoding."""
-    bot = p.lattice.bot
-    if p.syntax != OLD:
-        return [(i, r.head.atom, r.head.ann, tuple((b.atom, b.ann) for b in r.body))
-                for i, r in enumerate(p.rules)]
-
-    def as_pair(a):
-        if a.ratom.polarity == IN:
-            return a.ratom.atom, PairValue(a.ann, bot)
-        return a.ratom.atom, PairValue(bot, a.ann)
-    return [(i, *as_pair(r.head), tuple(as_pair(b) for b in r.body))
+    body)`` tuple per rule, the body a tuple of ``(atom, pair)`` read off the
+    annotated atoms' ``atom`` and ``pair``; satisfaction, the one-step
+    operator, and both reducts agree with the literal definitions under
+    this encoding."""
+    return [(i, r.head.atom, r.head.pair, tuple((b.atom, b.pair) for b in r.body))
             for i, r in enumerate(p.rules)]
 
 
@@ -245,20 +231,9 @@ def reduct(p: Program, B_I: PairValuation, B_R: PairValuation) -> Reduct:
     to be derived given the evidence the initial valuation already holds."""
     _check_compatible(p, B_I, B_R)
     kept = [(i, r) for i, r in enumerate(p.rules) if satisfies(B_R, r.body)]
-    lat = p.lattice
-    if p.syntax == OLD:
-        v_i = theta_inv(B_I)
-        rules = tuple(
-            OldRule(r.head, tuple(
-                AnnotatedRevisionAtom(b.ratom, lat.pcomp(v_i[b.ratom], b.ann))
-                for b in r.body))
-            for _, r in kept)
-    else:
-        rules = tuple(
-            NewRule(r.head, tuple(
-                PairAnnotatedAtom(b.atom, pcomp_pair(B_I[b.atom], b.ann))
-                for b in r.body))
-            for _, r in kept)
+    rules = tuple(
+        type(r)(r.head, tuple(b.with_pair(pcomp_pair(B_I[b.atom], b.pair)) for b in r.body))
+        for _, r in kept)
     return Reduct(p, rules, tuple(i for i, _ in kept))
 
 
@@ -267,14 +242,9 @@ def f_reduct(p: Program, B_I: PairValuation, B_R: PairValuation) -> Reduct:
     from the remaining bodies every atom the initial valuation satisfies."""
     _check_compatible(p, B_I, B_R)
     kept = [(i, r) for i, r in enumerate(p.rules) if satisfies(B_R, r.body)]
-    if p.syntax == OLD:
-        rules = tuple(
-            OldRule(r.head, tuple(b for b in r.body if not satisfies(B_I, b)))
-            for _, r in kept)
-    else:
-        rules = tuple(
-            NewRule(r.head, tuple(b for b in r.body if not satisfies(B_I, b)))
-            for _, r in kept)
+    rules = tuple(
+        type(r)(r.head, tuple(b for b in r.body if not satisfies(B_I, b)))
+        for _, r in kept)
     return Reduct(p, rules, tuple(i for i, _ in kept))
 
 

@@ -16,7 +16,7 @@ from .lattice import (
     UnsupportedOperationError,
     pair_space,
 )
-from .syntax import NEW, NewRule, PairAnnotatedAtom, Program
+from .syntax import NEW, NewRule, Program
 from .valuation import PairValuation
 
 
@@ -198,12 +198,10 @@ class PairIso:
             if x.syntax != NEW:
                 raise UnsupportedOperationError(
                     "isomorphisms act on pair-annotation programs; translate with tr1 first")
-            rules = [
-                NewRule(
-                    PairAnnotatedAtom(r.head.atom, self.map_for(r.head.atom)(r.head.ann)),
-                    tuple(PairAnnotatedAtom(b.atom, self.map_for(b.atom)(b.ann))
-                          for b in r.body))
-                for r in x.rules]
+            def conv(a):
+                return a.with_pair(self.map_for(a.atom)(a.pair))
+
+            rules = [NewRule(conv(r.head), tuple(conv(b) for b in r.body)) for r in x.rules]
             return Program(NEW, x.lattice, x.universe, rules)
         raise TypeError(f"cannot apply an isomorphism to {type(x).__name__}")
 

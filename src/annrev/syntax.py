@@ -2,8 +2,13 @@
 
 Two rule syntaxes coexist.  Revision-atom rules annotate in(a)/out(a) with
 single lattice elements; pair-annotation rules annotate atoms directly with
-evidence pairs.  Structural transformations connect the two and embed
-unannotated revision rules over the two-valued lattice.
+evidence pairs.  Both annotated-atom classes expose the one encoding that
+relates them: ``in(a):x`` is the pair ``<x, bot>`` on ``a`` and
+``out(a):x`` the pair ``<bot, x>``.  Every consumer reads ``atom`` and
+``pair`` and rewrites an annotation through ``with_pair``, so no other
+module reads a revision atom's polarity.  Structural transformations
+connect the two syntaxes and embed unannotated revision rules over the
+two-valued lattice.
 """
 
 from __future__ import annotations
@@ -59,6 +64,23 @@ class AnnotatedRevisionAtom:
     ratom: RevisionAtom
     ann: Elem
 
+    @property
+    def atom(self) -> str:
+        return self.ratom.atom
+
+    @property
+    def pair(self) -> PairValue:
+        """The annotation on its own side of a pair, bottom on the other."""
+        bot = self.ann.lattice.bot
+        if self.ratom.polarity == IN:
+            return PairValue(self.ann, bot)
+        return PairValue(bot, self.ann)
+
+    def with_pair(self, pv: PairValue) -> AnnotatedRevisionAtom:
+        """The same revision atom annotated with ``pv``'s component on its
+        side."""
+        return AnnotatedRevisionAtom(self.ratom, pv.pos if self.ratom.polarity == IN else pv.neg)
+
     def __str__(self):
         return f"{self.ratom}:{self.ann!r}"
 
@@ -70,30 +92,36 @@ class PairAnnotatedAtom:
     atom: str
     ann: PairValue
 
+    @property
+    def pair(self) -> PairValue:
+        return self.ann
+
+    def with_pair(self, pv: PairValue) -> PairAnnotatedAtom:
+        return PairAnnotatedAtom(self.atom, pv)
+
     def __str__(self):
         return f"{self.atom}:<{self.ann.pos!r},{self.ann.neg!r}>"
 
 
+class _RuleText:
+    """The text form both rule syntaxes share: ``head <- body.``"""
+
+    def __str__(self):
+        if not self.body:
+            return f"{self.head} <- ."
+        return f"{self.head} <- {', '.join(str(b) for b in self.body)}."
+
+
 @dataclass(frozen=True)
-class OldRule:
+class OldRule(_RuleText):
     head: AnnotatedRevisionAtom
     body: tuple[AnnotatedRevisionAtom, ...]
 
-    def __str__(self):
-        if not self.body:
-            return f"{self.head} <- ."
-        return f"{self.head} <- {', '.join(str(b) for b in self.body)}."
-
 
 @dataclass(frozen=True)
-class NewRule:
+class NewRule(_RuleText):
     head: PairAnnotatedAtom
     body: tuple[PairAnnotatedAtom, ...]
-
-    def __str__(self):
-        if not self.body:
-            return f"{self.head} <- ."
-        return f"{self.head} <- {', '.join(str(b) for b in self.body)}."
 
 
 @dataclass(frozen=True)
@@ -126,11 +154,10 @@ class Program:
             if not isinstance(r, want):
                 raise TypeError(f"{syntax} program cannot hold a {type(r).__name__}")
             for a in (r.head,) + r.body:
-                atom = a.ratom.atom if syntax == OLD else a.atom
+                atom = a.atom
                 if atom not in uset:
                     raise ValueError(f"atom {atom!r} not in the declared universe")
-                alat = a.ann.lattice if syntax == OLD else a.ann.pos.lattice
-                if alat is not lattice:
+                if a.ann.lattice is not lattice:
                     raise LatticeMismatchError(
                         f"annotation on {atom!r} comes from a different lattice")
         self.syntax = syntax
@@ -190,14 +217,9 @@ def tr1(p: Program) -> Program:
     unused side of every annotation with bottom."""
     if p.syntax != OLD:
         raise UnsupportedOperationError("tr1 expects a revision-atom program")
-    bot = p.lattice.bot
 
     def conv(a: AnnotatedRevisionAtom) -> PairAnnotatedAtom:
-        if a.ratom.polarity == IN:
-            pv = PairValue(a.ann, bot)
-        else:
-            pv = PairValue(bot, a.ann)
-        return PairAnnotatedAtom(a.ratom.atom, pv)
+        return PairAnnotatedAtom(a.atom, a.pair)
 
     rules = [NewRule(conv(r.head), tuple(conv(b) for b in r.body)) for r in p.rules]
     return Program(NEW, p.lattice, p.universe, rules)

@@ -729,8 +729,8 @@ def _iso_expr_text(m: PairMap, lat):
 
 def _iso_block_text(iso: PairIso):
     lines = ["iso {"]
-    for a in sorted(iso.entries):
-        lines.append(f"  {a}: {_iso_expr_text(iso.entries[a], iso.lattice)};")
+    for a, m in sorted(iso.entries.items()):
+        lines.append(f"  {a}: {_iso_expr_text(m, iso.lattice)};")
     if iso.default is not None:
         lines.append(f"  *: {_iso_expr_text(iso.default, iso.lattice)};")
     lines.append("}")

@@ -2,10 +2,11 @@
 
 A pair valuation maps every universe atom to an evidence pair; a plain
 valuation maps every revision atom to a single strength.  The two views are
-interchangeable through theta.  This module also houses satisfaction, the
-application of a change valuation, and the least-change difference: per
-atom a least fixpoint of relative pseudo-complements, with transformability
-read off its result.
+interchangeable through theta.  This module also houses satisfaction, which
+reads every annotated atom, of either rule syntax, as the evidence pair the
+atom classes encode it to; the application of a change valuation; and the
+least-change difference: per atom a least fixpoint of relative
+pseudo-complements, with transformability read off its result.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .lattice import (
     top_pair,
 )
 from .syntax import (
-    IN,
     AnnotatedRevisionAtom,
     NewRule,
     OldRule,
@@ -49,7 +49,7 @@ class PairValuation:
     def build(cls, lattice, universe, entries=None):
         """Total valuation over the universe; atoms without an entry get the
         bottom pair (no evidence either way)."""
-        base = {a: bot_pair(lattice) for a in universe}
+        base = dict.fromkeys(universe, bot_pair(lattice))
         if entries:
             for a, pv in dict(entries).items():
                 if a not in base:
@@ -210,12 +210,8 @@ def satisfies(B: PairValuation, x) -> bool:
     A rule is satisfied when its head is satisfied whenever its body is; a
     valuation satisfying every rule of a program is a model of it.
     """
-    if isinstance(x, AnnotatedRevisionAtom):
-        pv = B[x.ratom.atom]
-        held = pv.pos if x.ratom.polarity == IN else pv.neg
-        return x.ann <= held
-    if isinstance(x, PairAnnotatedAtom):
-        return x.ann <= B[x.atom]
+    if isinstance(x, (AnnotatedRevisionAtom, PairAnnotatedAtom)):
+        return x.pair <= B[x.atom]
     if isinstance(x, (OldRule, NewRule)):
         return not satisfies(B, x.body) or satisfies(B, x.head)
     if isinstance(x, Program):

@@ -20,13 +20,22 @@ from annrev import (
     decode_classic,
     encode_classic,
     join_transform,
+    pair_space,
     rin,
     rout,
     satisfies,
     tr1,
     tr2,
 )
-from helpers import oatom, old_program, powerset_pq, random_old_program, random_valuation
+from helpers import (
+    chain4,
+    oatom,
+    old_program,
+    powerset_pq,
+    powerset_pqr_custom,
+    random_old_program,
+    random_valuation,
+)
 
 from fractions import Fraction
 
@@ -37,6 +46,40 @@ def test_dual():
     for atom in ("a", "b", "c"):
         for l in (rin(atom), rout(atom)):
             assert l.dual().dual() == l
+
+
+@pytest.mark.parametrize("make, bot, x, y", [
+    (chain4, "c0", "c2", "c1"),
+    (powerset_pqr_custom, frozenset(), frozenset("pr"), frozenset("q")),
+])
+def test_revision_atom_pair_encoding(make, bot, x, y):
+    """``in(a):x`` is ``<x, bot>`` and ``out(a):y`` is ``<bot, y>``, on a
+    chain and on a powerset whose complement is not the set complement;
+    ``with_pair`` keeps the component on the atom's own side."""
+    lat = make()
+    bot, x, y = lat.element(bot), lat.element(x), lat.element(y)
+    a_in = AnnotatedRevisionAtom(rin("a"), x)
+    a_out = AnnotatedRevisionAtom(rout("a"), y)
+    assert a_in.atom == a_out.atom == "a"
+    assert a_in.pair == PairValue(x, bot)
+    assert a_out.pair == PairValue(bot, y)
+    assert a_in.with_pair(PairValue(y, x)) == AnnotatedRevisionAtom(rin("a"), y)
+    assert a_out.with_pair(PairValue(y, x)) == AnnotatedRevisionAtom(rout("a"), x)
+    p = PairAnnotatedAtom("a", PairValue(x, y))
+    assert p.pair == PairValue(x, y)
+    assert p.with_pair(PairValue(y, x)) == PairAnnotatedAtom("a", PairValue(y, x))
+
+
+@pytest.mark.parametrize("make", [chain4, powerset_pqr_custom])
+def test_with_pair_of_own_pair_is_identity(make):
+    lat = make()
+    for e in lat.elements():
+        for l in (rin("a"), rout("a")):
+            a = AnnotatedRevisionAtom(l, e)
+            assert a.with_pair(a.pair) == a
+    for pv in pair_space(lat):
+        p = PairAnnotatedAtom("a", pv)
+        assert p.with_pair(p.pair) == p
 
 
 def test_join_transform_merges_same_atom():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from annrev import (
+    AnnotatedRevisionAtom,
     PairValuation,
     PairValue,
     PowersetLattice,
@@ -24,6 +25,7 @@ from annrev import (
     transformable,
 )
 from helpers import (
+    _head_pair,
     chain4,
     chain_product,
     diamond_fixed,
@@ -71,6 +73,20 @@ def test_satisfies_annotated_atom():
     B = valuation(lat, {"b": ({"p", "q"}, frozenset())})
     assert satisfies(B, oatom(lat, "in", "b", {"p", "q"}))
     assert not satisfies(B, oatom(lat, "out", "b", {"p"}))
+
+
+@pytest.mark.parametrize("make", [chain4, powerset_pqr_custom])
+def test_satisfies_revision_atom_agrees_with_head_pair(make):
+    """Satisfying a revision atom is dominating the pair the test oracle
+    encodes it to, on every one-atom valuation."""
+    lat = make()
+    for pv in pair_space(lat):
+        B = PairValuation(lat, {"a": pv})
+        for e in lat.elements():
+            for l in (rin("a"), rout("a")):
+                x = AnnotatedRevisionAtom(l, e)
+                atom, pair = _head_pair(lat, x)
+                assert satisfies(B, x) == (pair <= B[atom])
 
 
 def test_satisfies_notmodel_candidate_fails_program():
