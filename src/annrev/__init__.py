@@ -23,6 +23,7 @@ from .engine import (
     is_justified_revision,
     is_model,
     is_smodel,
+    model_status,
     necessary_change,
     reduct,
     tp,
@@ -31,6 +32,7 @@ from .engine import (
 )
 from .isomorphism import PairIso, PairMap, apply_iso, build_shift_iso, preserves_conflation
 from .lattice import (
+    Codec,
     CustomLattice,
     Elem,
     Lattice,

@@ -120,8 +120,7 @@ def _cmd_nc(doc, args):
 def _cmd_check(doc, args):
     target_name = "candidate" if doc.candidate is not None else "init"
     target = _need(doc, target_name, "check")
-    model = engine.is_model(doc.program, target)
-    smodel = engine.is_smodel(doc.program, target)
+    model, smodel = engine.model_status(doc.program, target)
     if args.format == "json":
         print(textio._json_text({"target": target_name, "model": model, "smodel": smodel}))
     else:

@@ -10,15 +10,31 @@ deletion variant, tagged ``fitting``).  A candidate is a justified revision
 when applying the reduct's necessary change to the initial valuation
 reproduces the candidate exactly.
 
-All of it runs on one compiled form, a ``(source_index, head_atom,
-head_pair, body)`` tuple per rule.  One step function serves ``tp``,
-``tp_heads`` and ``tpb``, and one least-fixpoint loop serves
-``necessary_change`` and the reduct inside each check.  The loop is
-semi-naive: after the first step it tests only the unfired rules that read
-an atom whose value just changed, and it reaches the fixpoint within
-#rules productive steps.  One check, which keeps the rules the candidate
-satisfies and reduces only their bodies, serves ``is_justified_revision``
-and ``enumerate_revisions``; enumeration reduces each body once.
+All of it runs on integers.  Each call takes its lattice's codes
+(``Lattice.codec``): an element is the bitmask of the join-irreducibles
+below it, and an evidence pair is one int, the positive side in the low
+bits and the negative side shifted above them.  So ``<=`` is
+``x & y == x``, join is ``|``, meet is ``&``, conflation is one complement
+lookup per side, and the mpt reduct's ``pcomp`` is the down-closure of
+``b & ~a``.  A valuation is a list of pair codes in universe order, and
+the compiled form of a rule is a ``(source_index, head_atom, head_code,
+body)`` tuple, atoms numbered in universe order and the body a tuple of
+``(atom, code)``.  Elements, pair values, valuations and outcomes are the
+API boundary: a call encodes its inputs once and decodes each value it
+returns once.
+
+One step function serves ``tp``, ``tp_heads``, ``tpb`` and both model
+checks, and one least-fixpoint loop serves ``necessary_change`` and the
+reduct inside each check.  The loop is semi-naive: after the first step it
+tests only the unfired rules that read an atom whose value just changed,
+and it reaches the fixpoint within #rules productive steps.  One check,
+which keeps the rules the candidate satisfies and reduces only their
+bodies, serves ``is_justified_revision`` and ``enumerate_revisions``.
+Enumeration reduces each body and builds the loop's dependency lists once,
+and candidates that keep the same rules share one fixpoint run.  A custom
+order that is not a distributive lattice has no codes, and every call on
+it raises ``LatticeError``.
+
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
 Both rule syntaxes reach this module through the annotated atoms' ``atom``
 and ``pair`` (``in(a):x`` is ``<x, bot>``, ``out(a):x`` is ``<bot, x>``),
@@ -30,15 +46,10 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import prod
 
-from .lattice import (
-    LatticeMismatchError,
-    UnsupportedOperationError,
-    bot_pair,
-    pcomp_pair,
-)
+from .lattice import LatticeMismatchError, UnsupportedOperationError, pcomp_pair
 from .syntax import OLD, Program
 from .valuation import PairValuation, TValuation, satisfies, theta, theta_inv
 
@@ -76,46 +87,69 @@ def _check_compatible(p, *valuations):
             raise ValueError("valuation universe differs from the program's")
 
 
-def _compile(p: Program):
-    """Compiled form of the rules: one ``(source_index, head_atom, head_pair,
-    body)`` tuple per rule, the body a tuple of ``(atom, pair)`` read off the
-    annotated atoms' ``atom`` and ``pair``; satisfaction, the one-step
-    operator, and both reducts agree with the literal definitions under
-    this encoding."""
-    return [(i, r.head.atom, r.head.pair, tuple((b.atom, b.pair) for b in r.body))
-            for i, r in enumerate(p.rules)]
+def _compile(p: Program, *valuations):
+    """The call's codec and compiled rules.
+
+    The codec covers the rules' annotations and the values of
+    ``valuations``; only the unit chain reads them.  Each rule becomes
+    ``(source_index, head_atom, head_code, body)``, the body a tuple of
+    ``(atom, code)`` read off the annotated atoms' ``atom`` and ``pair``;
+    satisfaction, the one-step operator, and both reducts agree with the
+    literal definitions under this encoding."""
+    pairs = chain((a.pair for r in p.rules for a in (r.head, *r.body)),
+                  (pv for v in valuations for _, pv in v.items()))
+    codec = p.lattice.codec(e for pv in pairs for e in (pv.pos, pv.neg))
+    index = {a: k for k, a in enumerate(p.universe)}
+    pair = codec.pair
+    rules = [(i, index[r.head.atom], pair(r.head.pair),
+              tuple((index[b.atom], pair(b.pair)) for b in r.body))
+             for i, r in enumerate(p.rules)]
+    return codec, rules
 
 
-def _bottom(p: Program):
-    return dict.fromkeys(p.universe, bot_pair(p.lattice))
+def _encode(codec, v):
+    """A valuation's pair codes in universe order."""
+    return tuple([codec.pair(pv) for _, pv in v.items()])
 
 
-def _step(rules, vals, bottom):
+def _decode(p, codec, vals):
+    return PairValuation(p.lattice, zip(p.universe, map(codec.unpair, vals)))
+
+
+def _step(rules, vals):
     """One step of the compiled rules' operator: each atom gets the join of
-    the heads of the rules whose bodies ``vals`` satisfies, ``bottom``'s
-    value where none fires.  Returns the new values and the source indices
-    of the fired rules."""
-    new = dict(bottom)
+    the heads of the rules whose bodies ``vals`` satisfies, bottom where
+    none fires.  Returns the new values and the source indices of the fired
+    rules."""
+    new = [0] * len(vals)
     fired = []
-    for i, ha, hp, body in rules:
-        if all(pv <= vals[a] for a, pv in body):
-            new[ha] = new[ha] | hp
+    for i, ha, hc, body in rules:
+        if all(c & vals[a] == c for a, c in body):
+            new[ha] |= hc
             fired.append(i)
     return new, tuple(fired)
 
 
+def _image(p: Program, B: PairValuation):
+    """``_step`` on the program's compiled rules over ``B``.  Returns the
+    codec, ``B``'s codes, the new values and the fired source indices."""
+    _check_compatible(p, B)
+    codec, rules = _compile(p, B)
+    b = _encode(codec, B)
+    return (codec, b, *_step(rules, b))
+
+
 def _fire(p: Program, v):
-    """``_step`` on the program's compiled rules over ``v``: a revision-atom
-    valuation, read through ``theta``, for revision-atom programs, a pair
-    valuation for pair-annotation programs."""
+    """``_image`` over ``v``: a revision-atom valuation, read through
+    ``theta``, for revision-atom programs, a pair valuation for
+    pair-annotation programs."""
     if p.syntax == OLD:
         if not isinstance(v, TValuation):
             raise TypeError("revision-atom programs are evaluated over TValuation")
         v = theta(v)
     elif not isinstance(v, PairValuation):
         raise TypeError("pair-annotation programs are evaluated over PairValuation")
-    _check_compatible(p, v)
-    return _step(_compile(p), dict(v.items()), _bottom(p))
+    return _image(p, v)
 
 
 def tp_heads(p: Program, v):
@@ -124,7 +158,7 @@ def tp_heads(p: Program, v):
     Revision-atom programs take a revision-atom valuation; pair-annotation
     programs take a pair valuation.
     """
-    _, fired = _fire(p, v)
+    *_, fired = _fire(p, v)
     return frozenset(p.rules[i].head for i in fired)
 
 
@@ -133,83 +167,99 @@ def tp(p: Program, v: TValuation) -> TValuation:
     atom gets the join of the annotations of its fired heads."""
     if p.syntax != OLD:
         raise UnsupportedOperationError("tp is defined for revision-atom programs")
-    new, _ = _fire(p, v)
-    return theta_inv(PairValuation(p.lattice, new))
+    codec, _, new, _ = _fire(p, v)
+    return theta_inv(_decode(p, codec, new))
 
 
 def tpb(p: Program, B: PairValuation) -> PairValuation:
     """One step of the program over a pair valuation; monotone in the
     information ordering."""
-    _check_compatible(p, B)
-    new, _ = _step(_compile(p), dict(B.items()), _bottom(p))
-    return PairValuation(p.lattice, new)
+    codec, _, new, _ = _image(p, B)
+    return _decode(p, codec, new)
 
 
-def _lfp(rules, bottom):
-    """Least fixpoint of the compiled rules' operator, iterated from the
+def _watch(rules, n):
+    """Per atom ``0 <= a < n``, the indices of the rules whose bodies read
+    it: the dependency lists of ``_lfp``."""
+    watch = [[] for _ in range(n)]
+    for k, (_, _, _, body) in enumerate(rules):
+        for a, _ in body:
+            watch[a].append(k)
+    return watch
+
+
+def _lfp(rules, watch, kept):
+    """Least fixpoint of the operator of the rules ``kept`` (indices into
+    ``rules``, whose dependency lists are ``watch``), iterated from the
     bottom valuation.  Returns the fixpoint and, per productive step, the
     source indices of every rule fired so far, in source order.
 
     The iteration is semi-naive.  A fired rule stays fired along the
     increasing iterates, so each iterate is the join of the heads of a
     growing fired set: a step joins the old values with the heads of the
-    rules that fire for the first time, and only the unfired rules that
-    read an atom the previous step changed are tested again.  A step is
-    productive when some value changes, which takes a newly fired rule, so
-    the fixpoint is reached within #rules productive steps; a further
+    rules that fire for the first time, and only the kept, unfired rules
+    that read an atom the previous step changed are tested again.  A step
+    is productive when some value changes, which takes a newly fired rule,
+    so the fixpoint is reached within #rules productive steps; a further
     productive step is an internal invariant violation.  The trace has one
     entry per productive step, so its length is the step count.  The fired
     source indices are kept in one sorted list, which each newly fired rule
     joins by ``insort``; a productive step appends a tuple copy of it, so
     no step sorts the whole fired set again.
     """
-    watch = {}
-    for k, (_, _, _, body) in enumerate(rules):
-        for a, _ in body:
-            watch.setdefault(a, []).append(k)
-    vals = dict(bottom)
-    fired = set()
+    vals = [0] * len(watch)
+    live = set(kept)
     sources = []
     trace = []
-    todo = range(len(rules))
-    for _ in range(len(rules) + 1):
-        new = [k for k in todo if all(pv <= vals[a] for a, pv in rules[k][3])]
+    todo = kept
+    for _ in range(len(kept) + 1):
+        new = [k for k in todo if all(c & vals[a] == c for a, c in rules[k][3])]
         changed = set()
         for k in new:
-            i, ha, hp, _ = rules[k]
+            i, ha, hc, _ = rules[k]
             insort(sources, i)
-            joined = vals[ha] | hp
-            if joined != vals[ha]:
-                vals[ha] = joined
+            if hc & ~vals[ha]:
+                vals[ha] |= hc
                 changed.add(ha)
         if not changed:
             return vals, tuple(trace)
-        fired.update(new)
+        live.difference_update(new)
         trace.append(tuple(sources))
-        todo = {k for a in changed for k in watch.get(a, ()) if k not in fired}
+        todo = {k for a in changed for k in watch[a] if k in live}
     raise FixpointBoundError(
-        f"no fixpoint within {len(rules) + 1} steps for {len(rules)} rules")
+        f"no fixpoint within {len(kept) + 1} steps for {len(kept)} rules")
 
 
 def necessary_change(p: Program) -> PairValuation:
     """Least fixpoint of the program's one-step operator: the change every
     revision must include regardless of the initial valuation."""
-    vals, _ = _lfp(_compile(p), _bottom(p))
-    return PairValuation(p.lattice, vals)
+    codec, rules = _compile(p)
+    vals, _ = _lfp(rules, _watch(rules, len(p.universe)), range(len(rules)))
+    return _decode(p, codec, vals)
+
+
+def model_status(p: Program, B: PairValuation) -> tuple[bool, bool]:
+    """Whether ``B`` is a model and whether it is a supported model, both
+    read off one step ``T`` of the operator: a model dominates ``T``, and
+    a supported model is a model that stays below ``T | -T``, so that any
+    inconsistency is explicitly or implicitly supported."""
+    codec, b, t, _ = _image(p, B)
+    if not all(x & y == x for x, y in zip(t, b)):
+        return False, False
+    conflate = codec.conflate
+    return True, all(y & (x | conflate(x)) == y for x, y in zip(t, b))
 
 
 def is_model(p: Program, B: PairValuation) -> bool:
     """A valuation is a model exactly when it dominates its own one-step
     image."""
-    return tpb(p, B).leq_k(B)
+    return model_status(p, B)[0]
 
 
 def is_smodel(p: Program, B: PairValuation) -> bool:
     """Supported model check: the valuation must dominate its one-step image
-    and stay below that image joined with its conflation, so that any
-    inconsistency is explicitly or implicitly supported."""
-    t = tpb(p, B)
-    return t.leq_k(B) and B.leq_k(t | -t)
+    and stay below that image joined with its conflation."""
+    return model_status(p, B)[1]
 
 
 @dataclass(frozen=True)
@@ -260,25 +310,46 @@ class RevisionOutcome:
     trace: tuple[tuple[int, ...], ...]
 
 
-def _reducer(semantics, B_I):
-    """Step two of the reduction as a function of a compiled rule's source
-    index and body: mpt replaces each annotation by what is still needed
-    beyond ``B_I``, fitting deletes the body atoms ``B_I`` satisfies."""
-    if semantics == MPT:
-        return lambda _, body: tuple((a, pcomp_pair(B_I[a], pv)) for a, pv in body)
-    return lambda _, body: tuple((a, pv) for a, pv in body if not pv <= B_I[a])
+def _reduce(rules, semantics, codec, bi):
+    """Step two of the reduction on compiled rules, given the initial
+    values ``bi``: mpt replaces each body annotation by what is still
+    needed beyond ``bi`` (its ``pcomp``), fitting deletes the body atoms
+    ``bi`` satisfies.  Both drop a literal ``bi`` satisfies, since mpt
+    weakens it to bottom, which every value satisfies."""
+    weaken = codec.pcomp if semantics == MPT else lambda _, c: c
+    return [(i, ha, hc, tuple((a, weaken(bi[a], c)) for a, c in body if c & bi[a] != c))
+            for i, ha, hc, body in rules]
 
 
-def _justify(rules, reduce, B_I, B_R, bottom):
-    """Check one candidate ``B_R`` (atom -> pair): keep the rules whose
-    bodies it satisfies, reduce their bodies with ``reduce(index, body)``,
-    and compare ``(B_I & -C) | C`` with it, ``C`` the kept rules' least
-    fixpoint.  Returns (verified, change, trace)."""
-    kept = [(i, ha, hp, reduce(i, body)) for i, ha, hp, body in rules
-            if all(pv <= B_R[a] for a, pv in body)]
-    change, trace = _lfp(kept, bottom)
-    ok = all((B_I[a] & -c) | c == B_R[a] for a, c in change.items())
-    return ok, change, trace
+def _checker(p, semantics, B_I, *valuations):
+    """The candidate check that one call shares among its candidates.
+
+    Returns the codec, the compiled rules, the initial values, and
+    ``justify(br)``, which checks the candidate ``br``, a tuple of pair
+    codes: it keeps the rules whose bodies ``br`` satisfies, takes the
+    least fixpoint ``C`` of their reduced bodies, and compares
+    ``(B_I & -C) | C`` with ``br``.  It returns (verified, change, trace).
+    Candidates that keep the same rules share the reduct, so each kept
+    set's fixpoint and revision are computed once.
+    """
+    codec, rules = _compile(p, B_I, *valuations)
+    bi = _encode(codec, B_I)
+    conflate = codec.conflate
+    reduced = _reduce(rules, semantics, codec, bi)
+    watch = _watch(reduced, len(bi))
+    reducts = {}
+
+    def justify(br):
+        kept = tuple([k for k, (_, _, _, body) in enumerate(rules)
+                      if all(c & br[a] == c for a, c in body)])
+        if kept not in reducts:
+            change, trace = _lfp(reduced, watch, kept)
+            revised = tuple([(b & conflate(c)) | c for b, c in zip(bi, change)])
+            reducts[kept] = change, trace, revised
+        change, trace, revised = reducts[kept]
+        return revised == br, change, trace
+
+    return codec, rules, bi, justify
 
 
 def is_justified_revision(p, B_I, B_R, semantics=MPT) -> RevisionOutcome:
@@ -287,10 +358,9 @@ def is_justified_revision(p, B_I, B_R, semantics=MPT) -> RevisionOutcome:
     reduct taken with respect to (initial, candidate)."""
     _check_semantics(semantics)
     _check_compatible(p, B_I, B_R)
-    i_vals = dict(B_I.items())
-    ok, change, trace = _justify(
-        _compile(p), _reducer(semantics, i_vals), i_vals, dict(B_R.items()), _bottom(p))
-    return RevisionOutcome(B_R, semantics, PairValuation(p.lattice, change), ok, trace)
+    codec, _, _, justify = _checker(p, semantics, B_I, B_R)
+    ok, change, trace = justify(_encode(codec, B_R))
+    return RevisionOutcome(B_R, semantics, _decode(p, codec, change), ok, trace)
 
 
 def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
@@ -307,37 +377,26 @@ def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
     """
     _check_semantics(semantics)
     _check_compatible(p, B_I)
-    lat = p.lattice
-    atoms = p.universe
-    rules = _compile(p)
-    bot = bot_pair(lat)
+    codec, rules, bi, justify = _checker(p, semantics, B_I)
     # Per atom, every join of a subset of its rule heads, bottom included.
-    joins = {a: {bot: None} for a in atoms}
-    for _, ha, hp, _ in rules:
+    joins = [{0: None} for _ in bi]
+    for _, ha, hc, _ in rules:
         closure = joins[ha]
         for j in tuple(closure):
-            closure.setdefault(j | hp)
-    size = prod(len(joins[a]) for a in atoms)
+            closure.setdefault(j | hc)
+    size = prod(map(len, joins))
     if size > cap:
         raise CapExceededError(size, cap)
     # The candidate is computed atom by atom, so changes that give the same
     # value on an atom collapse before the product is taken.
-    per_atom = [
-        tuple(dict.fromkeys((B_I[a] & -c) | c for c in joins[a])) for a in atoms]
-    i_vals = dict(B_I.items())
-    reduce = _reducer(semantics, i_vals)
-    reduced = [reduce(i, body) for i, _, _, body in rules]
-
-    def reduce_once(i, _):
-        return reduced[i]
-
-    bottom = _bottom(p)
+    conflate = codec.conflate
+    per_atom = [tuple(dict.fromkeys((b & conflate(c)) | c for c in closure))
+                for b, closure in zip(bi, joins)]
     found = []
     for cand in product(*per_atom):
-        B_R = dict(zip(atoms, cand))
-        ok, change, trace = _justify(rules, reduce_once, i_vals, B_R, bottom)
+        ok, change, trace = justify(cand)
         if ok:
-            found.append(RevisionOutcome(
-                PairValuation(lat, B_R), semantics, PairValuation(lat, change), True, trace))
+            found.append(RevisionOutcome(_decode(p, codec, cand), semantics,
+                                         _decode(p, codec, change), True, trace))
     found.sort(key=lambda o: o.candidate.canonical_text())
     return found

@@ -9,7 +9,8 @@ carries conflation and the consistency test used by the revision engine.
 Supported lattice kinds: the two-valued Boolean lattice, powersets of a
 finite label set (with an optional explicit complement table), finite named
 chains, the chain of exact rationals in [0, 1], and custom finite lattices
-given by an explicit order relation.
+given by an explicit order relation.  Each kind also gives its elements
+integer codes (``Codec``), on which the revision engine runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,83 @@ class LatticeMismatchError(LatticeError):
 
 class UnsupportedOperationError(LatticeError):
     """The operation is not defined for this lattice kind."""
+
+
+class Codec:
+    """Integer codes of one lattice's elements, the engine's kernel.
+
+    An element's code is the bitmask of the join-irreducibles below it.  By
+    Birkhoff's representation theorem a finite distributive lattice is the
+    lattice of down-sets of its join-irreducibles, so on codes ``x <= y`` is
+    ``x & y == x``, join is ``|``, meet is ``&``, and the least ``g`` with
+    ``a | g >= b`` is the down-closure of ``b & ~a``.  The complement is a
+    table.  An evidence pair is one int, the positive side in the low
+    ``width`` bits and the negative side above them: the same operators act
+    on pairs componentwise, and conflation is one complement lookup per side.
+    """
+
+    __slots__ = ("width", "_mask", "_code", "_elem", "_comp", "_down")
+
+    def __init__(self, width, elems, codes, comp, down=None):
+        """``elems[k]`` has code ``codes[k]`` and its complement has code
+        ``comp[k]``; ``down[j]`` is the code of join-irreducible ``j``, or
+        ``down`` is None when they are pairwise incomparable, so that every
+        mask is a down-set."""
+        self.width = width
+        self._mask = (1 << width) - 1
+        self._code = {e.key: c for e, c in zip(elems, codes)}
+        self._elem = dict(zip(codes, elems))
+        self._comp = dict(zip(codes, comp))
+        self._down = down
+
+    def encode(self, x: Elem) -> int:
+        return self._code[x.key]
+
+    def decode(self, code: int) -> Elem:
+        return self._elem[code]
+
+    def complement(self, code: int) -> int:
+        return self._comp[code]
+
+    def pair(self, pv: PairValue) -> int:
+        code = self._code
+        return code[pv.pos.key] | code[pv.neg.key] << self.width
+
+    def unpair(self, x: int) -> PairValue:
+        elem = self._elem
+        return PairValue(elem[x & self._mask], elem[x >> self.width])
+
+    def conflate(self, x: int) -> int:
+        """``-pv`` on a pair code: ``<~neg, ~pos>``."""
+        comp = self._comp
+        return comp[x >> self.width] | comp[x & self._mask] << self.width
+
+    def _close_side(self, m):
+        down, out = self._down, 0
+        while m:
+            d = down[m.bit_length() - 1]
+            out |= d
+            m &= ~d
+        return out
+
+    def close(self, m: int) -> int:
+        """The least down-set containing mask ``m``, on each side of a pair
+        code (an element code is a pair code with a bottom negative side)."""
+        if self._down is None:
+            return m
+        w = self.width
+        return self._close_side(m & self._mask) | self._close_side(m >> w) << w
+
+    def pcomp(self, a: int, b: int) -> int:
+        """Least ``g`` with ``a | g >= b``, on element or pair codes."""
+        return self.close(b & ~a)
+
+
+def _chain_codec(elems):
+    """Codes of a chain, least element first, whose complement reverses it:
+    rank ``r`` has code ``(1 << r) - 1``."""
+    codes = [(1 << r) - 1 for r in range(len(elems))]
+    return Codec(len(elems) - 1, elems, codes, codes[::-1], codes[1:])
 
 
 class Elem:
@@ -136,21 +214,23 @@ class Lattice:
             out = out & x
         return out
 
-    def pcomp(self, alpha: Elem, beta: Elem) -> Elem:
-        """Least gamma with join(alpha, gamma) >= beta.
+    def codec(self, elements=()) -> Codec:
+        """The integer codes of the elements (see ``Codec``).  Finite kinds
+        build theirs once, at construction, and ignore ``elements``; the
+        unit chain builds one per call over the given elements.  A custom
+        order that is not a distributive lattice has none."""
+        if self._codec is None:
+            raise LatticeError(
+                "lattice is not distributive: no codes turn its meets and joins into & and |")
+        return self._codec
 
-        Chains (bottom or ``beta``) and powersets (``beta - alpha``)
-        override this with closed forms, so this scan serves only custom
-        lattices.  On a validated distributive lattice the meet of all
-        satisfying elements is itself satisfying, so the scan is exact.
-        """
-        if beta <= alpha:
-            return self.bot
-        sats = [g for g in self.elements() if beta <= (alpha | g)]
-        out = self.big_meet(sats)
-        if not beta <= (alpha | out):
-            raise LatticeError("pcomp has no least solution; lattice is not distributive")
-        return out
+    def pcomp(self, alpha: Elem, beta: Elem) -> Elem:
+        """Least gamma with join(alpha, gamma) >= beta: on codes, the
+        down-closure of ``beta & ~alpha``.  Chains (bottom or ``beta``) and
+        powersets (``beta - alpha``) override this with closed forms on
+        their keys, so it serves custom lattices."""
+        c = self.codec()
+        return c.decode(c.pcomp(c.encode(alpha), c.encode(beta)))
 
     def is_boolean(self) -> bool:
         """True when the complement is a Boolean complement.  Infinite
@@ -209,6 +289,7 @@ class LevelChain(_Chain):
         self._elems = tuple(Elem(self, i) for i in range(len(names)))
         self._index = {n: i for i, n in enumerate(names)}
         self._bot, self._top = self._elems[0], self._elems[-1]
+        self._codec = _chain_codec(self._elems)
 
     def element(self, name: str) -> Elem:
         try:
@@ -261,6 +342,17 @@ class UnitChain(_Chain):
         self._bot = Elem(self, Fraction(0))
         self._top = Elem(self, Fraction(1))
 
+    def codec(self, elements=()) -> Codec:
+        """Codes for one computation over ``elements``: the rank of each
+        value among them, 0, 1 and their complements, as on a level chain.
+        Joins, meets, complements and ``pcomp`` of such values stay among
+        them, so the codes serve every value the computation makes."""
+        # Elements repeat as objects; hash each object's Fraction once.
+        keys = {Fraction(0), Fraction(1)}
+        keys.update(e.key for e in {id(e): e for e in elements}.values())
+        keys.update([1 - f for f in keys])
+        return _chain_codec([self.element(f) for f in sorted(keys)])
+
     def element(self, value) -> Elem:
         f = Fraction(value)
         if f == 0:
@@ -308,10 +400,11 @@ class PowersetLattice(Lattice):
         self.labels = labels
         self._label_index = {l: i for i, l in enumerate(labels)}
         full = frozenset(labels)
-        subsets = [frozenset()]
-        for l in labels:
-            subsets += [s | {l} for s in subsets]
-        subsets.sort(key=self._key_order)
+        coded = [(frozenset(), 0)]
+        for i, l in enumerate(labels):
+            coded += [(s | {l}, c | 1 << i) for s, c in coded]
+        coded.sort(key=lambda sc: self._key_order(sc[0]))
+        subsets = [s for s, _ in coded]
         self._elems = tuple(Elem(self, s) for s in subsets)
         self._by_key = {e.key: e for e in self._elems}
         self._full = full
@@ -329,6 +422,9 @@ class PowersetLattice(Lattice):
                 raise LatticeError("complement table mentions unknown subsets")
             self._comp = table
             self.has_custom_complement = True
+        code = dict(coded)
+        self._codec = Codec(len(labels), self._elems, [c for _, c in coded],
+                            [code[self._comp[s]] for s in subsets])
 
     def _key_order(self, s):
         return tuple(sorted(self._label_index[l] for l in s))
@@ -395,17 +491,39 @@ def _bound_table(down, up):
     return table
 
 
+def _custom_codec(elems, down, meet, join, comp):
+    """Codes of a custom order: each row ``down[i]`` restricted to the
+    join-irreducible indices.  An element is join-irreducible when the
+    elements strictly below it have a greatest one, whose row is exactly
+    theirs.  None unless the codes are distinct, every meet and join
+    exists, and joins go to ``|``, which holds exactly when the order is a
+    distributive lattice (a meet's code is then always the ``&`` of its
+    arguments').  O(n^2)."""
+    rows = set(down)
+    irreducible = sum(1 << i for i, row in enumerate(down) if row & ~(1 << i) in rows)
+    codes = [row & irreducible for row in down]
+    if len(set(codes)) != len(codes):
+        return None
+    for x, (cx, mx, jx) in enumerate(zip(codes, meet, join)):
+        for y in range(x + 1, len(codes)):
+            j = jx[y]
+            if mx[y] is None or j is None or codes[j] != cx | codes[y]:
+                return None
+    return Codec(len(codes), elems, codes, [codes[comp[i]] for i in range(len(codes))], codes)
+
+
 class CustomLattice(Lattice):
     """Finite lattice from an explicit order relation and complement table.
 
     The order is kept only as bitmask rows, ``_up[i]`` holding every
     ``k >= i`` and ``_down[i]`` every ``k <= i``, closed reflexively and
     transitively at construction.  Meets and joins are precomputed from the
-    rows so the engine pays O(1) per operation, and an entry is only the
-    common lower (upper) bound above (below) every other one.  So the order
-    is a preorder and every entry is a greatest lower or least upper bound;
-    antisymmetry, missing entries, distributivity and the complement are
-    the business of validate().
+    rows so each costs O(1), and an entry is only the common lower (upper)
+    bound above (below) every other one.  So the order is a preorder and
+    every entry is a greatest lower or least upper bound; antisymmetry,
+    missing entries, distributivity and the complement are the business of
+    validate().  The engine's codes are built with the tables; an order
+    that is not a distributive lattice gets none, and ``codec`` raises.
     """
 
     kind = "custom"
@@ -447,6 +565,7 @@ class CustomLattice(Lattice):
             missing = [names[i] for i in range(n) if i not in comp]
             raise LatticeError(f"complement table misses {missing}")
         self._comp = comp
+        self._codec = _custom_codec(self._elems, down, self._meet, self._join, comp)
 
     def element(self, name: str) -> Elem:
         try:

@@ -12,6 +12,8 @@ from annrev import (
     NEW,
     OLD,
     CapExceededError,
+    CustomLattice,
+    LatticeError,
     PairValuation,
     PairValue,
     PowersetLattice,
@@ -44,6 +46,7 @@ from helpers import (
     literal_tp,
     oatom,
     old_program,
+    oracle_space,
     powerset_pq,
     powerset_pqr_custom,
     random_new_program,
@@ -54,7 +57,7 @@ from helpers import (
     reference_lfp,
     valuation,
 )
-from annrev.engine import _bottom, _compile, _lfp
+from annrev.engine import _compile, _lfp, _watch
 
 FIXTURES = Path(__file__).parent / "fixtures"
 unit = UnitChain()
@@ -556,7 +559,9 @@ def test_trace_matches_sorted_fired_reference():
     # reference iterates the public ``reduct``/``f_reduct``.
     steps = 0
     for p, B_I, candidates in _trace_problems(random.Random(71)):
-        vals, trace = _lfp(_compile(p), _bottom(p))
+        codec, rules = _compile(p)
+        vals, trace = _lfp(rules, _watch(rules, len(p.universe)), range(len(rules)))
+        vals = dict(zip(p.universe, map(codec.unpair, vals)))
         assert (vals, trace) == reference_lfp(
             p.lattice, p.universe, range(len(p.rules)), p.rules)
         assert PairValuation(p.lattice, vals) == necessary_change(p)
@@ -596,6 +601,55 @@ def test_enumeration_exact_on_unit_chain():
                            "b": (Fraction(9, 10), Fraction(1, 10))})
     outs = enumerate_revisions(p, B_I, MPT)
     assert [o.candidate for o in outs] == [valuation(unit, {"a": (0, 1), "b": (1, 0)})]
+
+
+def test_unit_chain_per_call_codes_agree_with_literal_oracle():
+    # The unit chain is the one kind whose codes are built per call, over
+    # the constants the call reads and their complements.  0, 1, 1/2 and
+    # the complement pair 1/3, 2/3 sit in heads, bodies, B_I and B_R.  1/5
+    # is a head whose complement 4/5 occurs in no input: only the revision
+    # makes it, as the conflation of its change.  3/7 occurs only in
+    # candidates, so only the codes of the check that reads it cover it.
+    h, t, f = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
+    p = old_program(unit, ("a", "b"), [
+        (("in", "a", 1 - t), [("out", "b", h)]),
+        (("out", "b", f), [("in", "a", 1 - t)]),
+        (("in", "b", h), [("in", "a", t), ("out", "a", 0)]),
+        (("out", "a", 1), [("in", "b", 1 - t)]),
+        (("out", "a", t), [("out", "b", f)]),
+        (("in", "a", t), []),
+    ])
+    B_I = valuation(unit, {"a": (h, 1 - t), "b": (1, h)})
+    odd = [valuation(unit, {"a": (Fraction(3, 7), 1 - t), "b": (1, h)}),
+           valuation(unit, {"a": (1 - t, 0), "b": (0, Fraction(4, 7))})]
+    for prog in (p, tr1(p)):
+        space = oracle_space(prog, B_I)
+        assert len(space) == 49
+        candidates = [PairValuation(unit, {"a": x, "b": y}) for x in space for y in space]
+        for semantics in (MPT, FITTING):
+            expected = brute_force_revisions(prog, B_I, semantics)
+            assert [o.candidate for o in expected] == [
+                valuation(unit, {"a": (1 - t, 1), "b": (1 - f, h)})]
+            assert enumerate_revisions(prog, B_I, semantics) == expected
+            for B_R in candidates[::7] + odd + [o.candidate for o in expected]:
+                assert (is_justified_revision(prog, B_I, B_R, semantics)
+                        == literal_justification(prog, B_I, B_R, semantics))
+
+
+def test_engine_rejects_non_distributive_custom_lattice():
+    # parse rejects M3, so it reaches the engine only through the API; the
+    # engine has no codes for it and says so instead of answering.
+    m3 = CustomLattice(
+        ("bot", "a", "b", "c", "top"),
+        [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"),
+         ("c", "top")],
+        {"bot": "top", "a": "a", "b": "c", "c": "b", "top": "bot"})
+    p = old_program(m3, ("x",), [(("in", "x", "a"), [("out", "x", "b")])])
+    B = PairValuation.bottom(m3, ("x",))
+    for call in (lambda: necessary_change(p), lambda: is_model(p, B),
+                 lambda: is_justified_revision(p, B, B), lambda: enumerate_revisions(p, B)):
+        with pytest.raises(LatticeError, match="not distributive"):
+            call()
 
 
 def test_trace_reports_source_rule_indices():
