@@ -16,10 +16,10 @@ below it, and an evidence pair is one int, the positive side in the low
 bits and the negative side shifted above them.  So ``<=`` is
 ``x & y == x``, join is ``|``, meet is ``&``, conflation is one complement
 lookup per side, and the mpt reduct's ``pcomp`` is the down-closure of
-``b & ~a``.  A valuation is a list of pair codes in universe order, and
-the compiled form of a rule is a ``(source_index, head_atom, head_code,
-body)`` tuple, atoms numbered in universe order and the body a tuple of
-``(atom, code)``.  Elements, pair values, valuations and outcomes are the
+``b & ~a``.  A valuation is a sequence of pair codes in universe order,
+and the compiled form of a rule is a ``(source_index, head_atom,
+head_code, body)`` tuple, atoms numbered in universe order and the body a
+tuple of ``(atom, code)``.  Elements, pair values, valuations and outcomes are the
 API boundary: a call encodes its inputs once and decodes each value it
 returns once.
 
