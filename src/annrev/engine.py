@@ -93,16 +93,16 @@ def _compile(p: Program, *valuations):
     The codec covers the rules' annotations and the values of
     ``valuations``; only the unit chain reads them.  Each rule becomes
     ``(source_index, head_atom, head_code, body)``, the body a tuple of
-    ``(atom, code)`` read off the annotated atoms' ``atom`` and ``pair``;
-    satisfaction, the one-step operator, and both reducts agree with the
-    literal definitions under this encoding."""
-    pairs = chain((a.pair for r in p.rules for a in (r.head, *r.body)),
-                  (pv for v in valuations for _, pv in v.items()))
+    ``(atom, code)`` from the annotated atoms' ``atom`` and ``pair``, each
+    read once per literal; satisfaction, the one-step operator, and both
+    reducts agree with the literal definitions under this encoding."""
+    literals = [a.pair for r in p.rules for a in (r.head, *r.body)]
+    pairs = chain(literals, (pv for v in valuations for _, pv in v.items()))
     codec = p.lattice.codec(e for pv in pairs for e in (pv.pos, pv.neg))
     index = {a: k for k, a in enumerate(p.universe)}
-    pair = codec.pair
-    rules = [(i, index[r.head.atom], pair(r.head.pair),
-              tuple((index[b.atom], pair(b.pair)) for b in r.body))
+    codes = map(codec.pair, literals)  # consumed in literal order, as built
+    rules = [(i, index[r.head.atom], next(codes),
+              tuple((index[b.atom], next(codes)) for b in r.body))
              for i, r in enumerate(p.rules)]
     return codec, rules
 

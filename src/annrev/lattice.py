@@ -470,13 +470,45 @@ class PowersetLattice(Lattice):
         return self._fmt(x.key)
 
 
+def _code_tables(up, down):
+    """Birkhoff codes of an order given as closed bitmask rows, with its
+    meet and join tables, or None when the order is not a distributive
+    lattice.  An element's code is its row ``down[i]`` restricted to the
+    join-irreducible indices; an element is join-irreducible when the
+    elements strictly below it have a greatest one, whose row is exactly
+    theirs.  The codes are a proof when they are distinct, every ``ci & cj``
+    and ``ci | cj`` is a code, and ``i <= j`` holds exactly when
+    ``ci & cj == ci``: the order is then isomorphic to a family of sets
+    closed under intersection and union, so it is antisymmetric, a lattice
+    and distributive, meet is ``&`` and join is ``|``.  By Birkhoff's
+    theorem every finite distributive lattice passes.  O(n^2)."""
+    rows = set(down)
+    irreducible = sum(1 << i for i, row in enumerate(down) if row & ~(1 << i) in rows)
+    codes = [row & irreducible for row in down]
+    index = {c: i for i, c in enumerate(codes)}
+    if len(index) != len(codes):
+        return None
+    meet, join = [], []
+    for ci, above in zip(codes, up):
+        if sum(1 << j for j, cj in enumerate(codes) if ci & cj == ci) != above:
+            return None
+        mrow = [index.get(ci & cj) for cj in codes]
+        jrow = [index.get(ci | cj) for cj in codes]
+        if None in mrow or None in jrow:
+            return None
+        meet.append(mrow)
+        join.append(jrow)
+    return codes, meet, join
+
+
 def _bound_table(down, up):
     """Greatest-lower-bound table of a preorder given as bitmasks:
     ``down[i]`` holds every ``k <= i`` and ``up[i]`` every ``k >= i``.
     Entry ``[i][j]`` is the one common lower bound above all the others, or
     None when there is not exactly one (no bound, or a cycle of them).
     Passing ``(up, down)`` gives the join table.  Each entry intersects
-    ``up`` over the common lower bounds: O(n^3) bit operations in all."""
+    ``up`` over the common lower bounds: O(n^3) bit operations in all.
+    Only orders that ``_code_tables`` rejects need it."""
     n = len(down)
     table = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -491,39 +523,22 @@ def _bound_table(down, up):
     return table
 
 
-def _custom_codec(elems, down, meet, join, comp):
-    """Codes of a custom order: each row ``down[i]`` restricted to the
-    join-irreducible indices.  An element is join-irreducible when the
-    elements strictly below it have a greatest one, whose row is exactly
-    theirs.  None unless the codes are distinct, every meet and join
-    exists, and joins go to ``|``, which holds exactly when the order is a
-    distributive lattice (a meet's code is then always the ``&`` of its
-    arguments').  O(n^2)."""
-    rows = set(down)
-    irreducible = sum(1 << i for i, row in enumerate(down) if row & ~(1 << i) in rows)
-    codes = [row & irreducible for row in down]
-    if len(set(codes)) != len(codes):
-        return None
-    for x, (cx, mx, jx) in enumerate(zip(codes, meet, join)):
-        for y in range(x + 1, len(codes)):
-            j = jx[y]
-            if mx[y] is None or j is None or codes[j] != cx | codes[y]:
-                return None
-    return Codec(len(codes), elems, codes, [codes[comp[i]] for i in range(len(codes))], codes)
-
-
 class CustomLattice(Lattice):
     """Finite lattice from an explicit order relation and complement table.
 
     The order is kept only as bitmask rows, ``_up[i]`` holding every
     ``k >= i`` and ``_down[i]`` every ``k <= i``, closed reflexively and
-    transitively at construction.  Meets and joins are precomputed from the
-    rows so each costs O(1), and an entry is only the common lower (upper)
-    bound above (below) every other one.  So the order is a preorder and
-    every entry is a greatest lower or least upper bound; antisymmetry,
-    missing entries, distributivity and the complement are the business of
-    validate().  The engine's codes are built with the tables; an order
-    that is not a distributive lattice gets none, and ``codec`` raises.
+    transitively at construction.  Construction then derives the Birkhoff
+    codes and proves from them in O(n^2) that the order is a distributive
+    lattice (``_code_tables``); the meet and join tables are then ``&`` and
+    ``|`` on codes, and the codes are the engine's ``Codec``.  Only an order
+    that fails the proof pays the cubic ``_bound_table`` scans, whose
+    entries are the common lower (upper) bound above (below) every other
+    one or None; it has no codes, and ``codec`` raises.  Either way meets
+    and joins cost O(1), the order is a preorder and every entry is a
+    greatest lower or least upper bound.  The complement, and for an order
+    that fails the proof the axiom it breaks, are the business of
+    validate().
     """
 
     kind = "custom"
@@ -549,8 +564,6 @@ class CustomLattice(Lattice):
         down = [sum(1 << k for k in range(n) if up[k] >> i & 1) for i in range(n)]
         self._up, self._down = up, down
         self._elems = tuple(Elem(self, i) for i in range(n))
-        self._meet = _bound_table(down, up)
-        self._join = _bound_table(up, down)
         full = (1 << n) - 1
         bots = [i for i in range(n) if up[i] == full]
         tops = [i for i in range(n) if down[i] == full]
@@ -565,7 +578,14 @@ class CustomLattice(Lattice):
             missing = [names[i] for i in range(n) if i not in comp]
             raise LatticeError(f"complement table misses {missing}")
         self._comp = comp
-        self._codec = _custom_codec(self._elems, down, self._meet, self._join, comp)
+        proof = _code_tables(up, down)
+        if proof is None:
+            self._meet = _bound_table(down, up)
+            self._join = _bound_table(up, down)
+            self._codec = None
+        else:
+            codes, self._meet, self._join = proof
+            self._codec = Codec(n, self._elems, codes, [codes[comp[i]] for i in range(n)], codes)
 
     def element(self, name: str) -> Elem:
         try:
@@ -662,12 +682,15 @@ def validate(lat: Lattice) -> ValidationReport:
       so both De Morgan laws follow.  That is ``n * 2**n`` checks in place
       of a cubic scan.
     - Custom lattices are checked on their order rows and int tables for
-      what construction leaves open: antisymmetry, then existence of every
-      binary meet and join, then distributivity on every triple, then the
-      complement axioms.  Reflexivity, transitivity and the extremality of
-      each table entry hold as built, and a finite partial order with all
-      binary meets and joins has a bottom and a top.  Distributivity is the
-      one cubic loop.
+      what construction leaves open.  Reflexivity, transitivity and the
+      extremality of each table entry hold as built.  An order whose
+      Birkhoff codes passed the O(n^2) proof at construction is a
+      distributive lattice (hence bounded), so only the complement axioms
+      are checked: involution, then per pair order reversal and both De
+      Morgan laws, O(n^2) in all.  Any other order is scanned for
+      antisymmetry, then existence of every binary meet and join, then
+      distributivity on every triple, the one cubic loop, and one of them
+      fails.
 
     Failures name the first offender found.
     """
@@ -696,20 +719,23 @@ def _validate_powerset(lat: PowersetLattice) -> ValidationReport:
     return ValidationReport(True)
 
 
-def _validate_custom(lat: CustomLattice) -> ValidationReport:
-    up, meet, join, comp, names = lat._up, lat._meet, lat._join, lat._comp, lat.names
+def _order_failure(lat: CustomLattice):
+    """The first failure of antisymmetry, then of meet and join existence,
+    then of distributivity on every triple, or None.  Only an order that
+    failed the code proof at construction is scanned, so some stage fails."""
+    up, meet, join, names = lat._up, lat._meet, lat._join, lat.names
     els = range(len(names))
     for x in els:
         equal = up[x] & lat._down[x] & ~(1 << x)
         if equal:
             y = (equal & -equal).bit_length() - 1
-            return _fail(f"order not antisymmetric at {names[x]}, {names[y]}")
+            return f"order not antisymmetric at {names[x]}, {names[y]}"
     for x in els:
         for y in els:
             if meet[x][y] is None:
-                return _fail(f"no meet of {names[x]} and {names[y]}")
+                return f"no meet of {names[x]} and {names[y]}"
             if join[x][y] is None:
-                return _fail(f"no join of {names[x]} and {names[y]}")
+                return f"no join of {names[x]} and {names[y]}"
 
     for x in els:
         mx = meet[x]
@@ -718,9 +744,17 @@ def _validate_custom(lat: CustomLattice) -> ValidationReport:
             jy = join[y]
             for z in els:
                 if mx[jy[z]] != join[mxy][mx[z]]:
-                    return _fail(
-                        f"distributivity fails at {names[x]}, {names[y]}, {names[z]}")
+                    return f"distributivity fails at {names[x]}, {names[y]}, {names[z]}"
+    return None
 
+
+def _validate_custom(lat: CustomLattice) -> ValidationReport:
+    if lat._codec is None:
+        failure = _order_failure(lat)
+        if failure is not None:
+            return _fail(failure)
+    up, meet, join, comp, names = lat._up, lat._meet, lat._join, lat._comp, lat.names
+    els = range(len(names))
     for x in els:
         if comp[comp[x]] != x:
             return _fail(f"complement not an involution at {names[x]}")

@@ -19,6 +19,7 @@ from annrev import (
     UnsupportedOperationError,
     ValidationReport,
     bot_pair,
+    lattice,
     negation,
     pair_space,
     pcomp_pair,
@@ -181,6 +182,26 @@ def test_validate_matches_axiom_scan_on_large_grids():
                 assert report == axiom_scan(lat)
                 assert report.ok == (table is comp)
     assert grids == 30
+    for lat, ok in zip(_grids_7x7(), (True, False)):
+        report = validate(lat)
+        assert report == axiom_scan(lat)
+        assert report.ok == ok
+
+
+def _grids_7x7():
+    """The 49-element grid of chains, past the sizes the load benchmark
+    declares, under the reversing complement and with two of its entries
+    exchanged, each in shuffled element order."""
+    rng = random.Random(23)
+    names, order, comp = product_decl(7, 7)
+    a, b = rng.sample(names, 2)
+    swapped = dict(comp)
+    swapped[a], swapped[b] = comp[b], comp[a]
+    lats = []
+    for table in (comp, swapped):
+        rng.shuffle(names)
+        lats.append(CustomLattice(names, order, table))
+    return lats
 
 
 def _oracle_lattices():
@@ -200,7 +221,7 @@ def test_custom_tables_match_bound_oracle():
     lats = _oracle_lattices()
     assert max(len(lat.names) for lat in lats) == 25
     assert any(None in row for lat in lats for row in lat._meet + lat._join)
-    for lat in lats:
+    for lat in lats + _grids_7x7():
         els = lat.elements()
         leq = [[lat.leq(x, y) for y in els] for x in els]
         size = range(len(els))
@@ -305,6 +326,83 @@ def test_codes_exist_exactly_on_distributive_lattices():
             for y in lat.elements():
                 _check_codes(lat, codec, x, y)
     assert 0 < coded < len(lats)
+
+
+def _all_relations():
+    """A custom lattice for every relation on 1-4 elements, 4,165 in all,
+    each under the identity complement."""
+    for n in range(1, 5):
+        names = [f"e{i}" for i in range(n)]
+        pairs = [(a, b) for a in names for b in names if a != b]
+        for bits in range(1 << len(pairs)):
+            order = [ab for k, ab in enumerate(pairs) if bits >> k & 1]
+            yield CustomLattice(names, order, {a: a for a in names})
+
+
+def test_codes_and_validate_exhaustive_on_small_relations():
+    # The code proof at construction must accept exactly the distributive
+    # lattices: a relation has codes exactly when the axiom scan gets past
+    # distributivity, and validate, which trusts the proof, agrees with the
+    # scan on every relation.
+    count, coded = 0, 0
+    for lat in _all_relations():
+        count += 1
+        expected = axiom_scan(lat)
+        assert validate(lat) == expected
+        distributive = expected.ok or expected.failures[0].startswith(("complement", "De Morgan"))
+        if distributive:
+            coded += 1
+            lat.codec()
+        else:
+            with pytest.raises(LatticeError, match="not distributive"):
+                lat.codec()
+    assert count == 4165
+    assert 0 < coded < count
+
+
+def test_codes_must_reflect_the_order():
+    # The smallest orders whose codes are distinct and closed under & and |
+    # yet not order-reflecting have six elements, so the exhaustive scan
+    # above cannot see the order check.  Here e's code {a, b} lies inside
+    # d's code {a, b, c} but e is not below d: a and b have two minimal
+    # upper bounds and no join.
+    lat = CustomLattice(
+        ("bot", "a", "b", "c", "d", "e"),
+        [("bot", "a"), ("bot", "b"), ("a", "d"), ("a", "e"), ("b", "c"), ("b", "e"),
+         ("c", "d")],
+        {x: x for x in ("bot", "a", "b", "c", "d", "e")})
+    with pytest.raises(LatticeError, match="not distributive"):
+        lat.codec()
+    assert validate(lat) == axiom_scan(lat) == ValidationReport(False, ("no join of a and b",))
+
+
+def _redeclare(lat):
+    """The declaration of an antisymmetric custom lattice: names, covers and
+    complement table."""
+    names = lat.names
+    return names, lat.cover_pairs(), {names[i]: names[c] for i, c in lat._comp.items()}
+
+
+def test_distributive_lattices_skip_the_cubic_scans(monkeypatch):
+    # Once the codes prove the order a distributive lattice, neither the
+    # bound-table scan nor the order scan runs, at construction or in
+    # validate, and the reports are the axiom scan's.
+    decls = []
+    for lat in _oracle_lattices():
+        report = axiom_scan(lat)
+        if report.ok or report.failures[0].startswith(("complement", "De Morgan")):
+            decls.append((_redeclare(lat), report))
+    decls.append((product_decl(10, 10), ValidationReport(True)))
+
+    def cubic(*args):
+        raise AssertionError("cubic scan ran on a distributive lattice")
+
+    monkeypatch.setattr(lattice, "_bound_table", cubic)
+    monkeypatch.setattr(lattice, "_order_failure", cubic)
+    for decl, report in decls:
+        lat = CustomLattice(*decl)
+        assert validate(lat) == report
+    assert len(decls) > 100 and any(not report.ok for _, report in decls)
 
 
 def _powerset_tables(rng, labels):
