@@ -36,10 +36,15 @@ GOLDEN = FIXTURES / "cli_golden.json"
 ERRORS_GOLDEN = FIXTURES / "parse_errors_golden.json"
 
 
+# One document per lattice kind that no top-level fixture uses.  They sit
+# in a subdirectory, out of the glob that seeds the parse-error mutations.
+KINDS = ["kinds/two.arp", "kinds/chain5.arp", "kinds/grid3x3.arp"]
+
+
 def cases():
     """Argument lists relative to the fixture directory, in a fixed order."""
     out = []
-    for doc in sorted(p.name for p in FIXTURES.glob("*.arp")):
+    for doc in sorted(p.name for p in FIXTURES.glob("*.arp")) + KINDS:
         for fmt in ("text", "json"):
             for cmd in ("validate", "nc", "check", "verify", "revise", "diff"):
                 out.append([cmd, doc, "--format", fmt])

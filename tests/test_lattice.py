@@ -27,8 +27,8 @@ from annrev import (
     validate,
 )
 from helpers import (
-    axiom_scan, bound_oracle, chain4, chain_product, diamond_fixed, powerset_pq,
-    powerset_pqr_custom, product_decl)
+    PQR_COMPLEMENT, axiom_scan, bound_oracle, chain4, chain_product, diamond_fixed,
+    label_involution_powerset, powerset_pq, powerset_pqr_custom, product_decl)
 
 unit = UnitChain()
 
@@ -297,6 +297,58 @@ def test_unit_codes_match_chain_operations(values, data):
     codec = unit.codec(elems)
     covered = st.sampled_from(elems + [~e for e in elems] + [unit.bot, unit.top])
     _check_codes(unit, codec, data.draw(covered), data.draw(covered))
+
+
+# --- key-level reference ------------------------------------------------------
+
+def _chain_reference(n):
+    """``(leq, meet, join, complement, bot, top)`` on the level indices of
+    an ``n``-level chain."""
+    return int.__le__, min, max, lambda i: n - 1 - i, 0, n - 1
+
+
+def _powerset_reference(labels, complement=None):
+    """The same on the frozenset keys of a powerset; ``complement`` maps a
+    key to its declared complement, and defaults to ``full - s``."""
+    full = frozenset(labels)
+    return (frozenset.__le__, frozenset.__and__, frozenset.__or__,
+            complement or (lambda s: full - s), frozenset(), full)
+
+
+def _swap_p_s(s):
+    return frozenset("pqrs") - {{"p": "s", "s": "p"}.get(l, l) for l in s}
+
+
+_KEY_REFERENCE = {
+    "two": (TwoLattice, _chain_reference(2)),
+    "chain4": (chain4, _chain_reference(4)),
+    "chain12": (lambda: LevelChain(f"c{i}" for i in range(12)), _chain_reference(12)),
+    "powerset_pqr": (lambda: PowersetLattice("pqr"), _powerset_reference("pqr")),
+    "pqr_complement": (powerset_pqr_custom,
+                       _powerset_reference("pqr", PQR_COMPLEMENT.__getitem__)),
+    "pqrs_involution": (lambda: label_involution_powerset("pqrs", [("p", "s")]),
+                        _powerset_reference("pqrs", _swap_p_s)),
+}
+
+
+@pytest.mark.parametrize("name", _KEY_REFERENCE)
+def test_operators_match_key_reference(name):
+    # The element operators of powersets and level chains against their
+    # keys, without the codec; pcomp against the least solution there.
+    make, (leq, meet, join, comp, bot, top) = _KEY_REFERENCE[name]
+    lat = make()
+    keys = [x.key for x in lat.elements()]
+    assert lat.bot.key == bot and lat.top.key == top
+    for x in lat.elements():
+        assert (~x).key == comp(x.key)
+        for y in lat.elements():
+            a, b = x.key, y.key
+            assert (x <= y) == leq(a, b) and (x >= y) == leq(b, a)
+            assert (x < y) == (leq(a, b) and a != b)
+            assert (x & y).key == meet(a, b) and (x | y).key == join(a, b)
+            least = [g for g in keys if leq(b, join(a, g))]
+            least = [g for g in least if all(leq(g, h) for h in least)]
+            assert [lat.pcomp(x, y).key] == least
 
 
 @pytest.mark.parametrize("decl", [_M3, _N5], ids=["M3", "N5"])

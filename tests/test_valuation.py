@@ -271,11 +271,12 @@ def test_diff_and_transformable_match_full_pair_space_oracle(make):
 
 
 @pytest.mark.parametrize("make", [
-    TwoLattice, chain4, powerset_pq, powerset_pqr_custom, diamond_fixed,
-], ids=["two", "chain4", "powerset_pq", "pqr_complement", "diamond_fixed"])
+    TwoLattice, chain4, powerset_pq, powerset_pqr_custom, diamond_fixed, UnitChain,
+], ids=["two", "chain4", "powerset_pq", "pqr_complement", "diamond_fixed", "unit_quarters"])
 def test_diff_matches_oracle_on_every_one_atom_pair(make):
     lat = make()
-    space = pair_space(lat)
+    els = lat.elements() if lat.is_finite else unit_quarters(lat)
+    space = [PairValue(x, y) for x in els for y in els]
     reached = 0
     for r in space:
         R = PairValuation(lat, {"a": r})
