@@ -42,9 +42,10 @@ class Codec:
     table.  An evidence pair is one int, the positive side in the low
     ``width`` bits and the negative side above them: the same operators act
     on pairs componentwise, and conflation is one complement lookup per side.
+    Bottom has code 0 and top, whose code holds every other, code ``top``.
     """
 
-    __slots__ = ("width", "_mask", "_code", "_elem", "_comp", "_down")
+    __slots__ = ("width", "top", "_mask", "_code", "_elem", "_comp", "_down")
 
     def __init__(self, width, elems, codes, comp, down=None):
         """``elems[k]`` has code ``codes[k]`` and its complement has code
@@ -52,6 +53,7 @@ class Codec:
         ``down`` is None when they are pairwise incomparable, so that every
         mask is a down-set."""
         self.width = width
+        self.top = max(codes)
         self._mask = (1 << width) - 1
         self._code = {e.key: c for e, c in zip(elems, codes)}
         self._elem = dict(zip(codes, elems))
@@ -168,6 +170,16 @@ class Elem:
 class Lattice:
     """Base class for lattice handles.
 
+    The element operators are implemented once, here, on the Birkhoff codes
+    that a finite kind builds at construction (``_codec``): ``x <= y`` is
+    ``cx & cy == cx``, meet is ``&``, join is ``|``, the complement is the
+    codec's table, bottom is code 0 and top is ``Codec.top``.  They read
+    the codec's dicts directly, since every ``Elem`` operator lands here.
+    Powersets and level chains use them as they are.  The unit chain has
+    no fixed codes and answers on its ``Fraction`` keys; custom lattices
+    answer from their order rows and tables, which also serve orders that
+    are not distributive lattices.
+
     Handles compare by identity and are immutable after construction: no
     method writes an attribute, so they are safe to share between
     concurrent readers.
@@ -177,24 +189,30 @@ class Lattice:
     is_finite = True
 
     def leq(self, x: Elem, y: Elem) -> bool:
-        raise NotImplementedError
+        code = self._codec._code
+        cx = code[x.key]
+        return cx & code[y.key] == cx
 
     def meet(self, x: Elem, y: Elem) -> Elem:
-        raise NotImplementedError
+        c = self._codec
+        return c._elem[c._code[x.key] & c._code[y.key]]
 
     def join(self, x: Elem, y: Elem) -> Elem:
-        raise NotImplementedError
+        c = self._codec
+        return c._elem[c._code[x.key] | c._code[y.key]]
 
     def complement(self, x: Elem) -> Elem:
-        raise NotImplementedError
+        c = self._codec
+        return c._elem[c._comp[c._code[x.key]]]
 
     @property
     def bot(self) -> Elem:
-        raise NotImplementedError
+        return self._codec._elem[0]
 
     @property
     def top(self) -> Elem:
-        raise NotImplementedError
+        c = self._codec
+        return c._elem[c.top]
 
     def elements(self) -> tuple[Elem, ...]:
         """All elements in canonical order (finite lattices only)."""
@@ -217,8 +235,10 @@ class Lattice:
     def codec(self, elements=()) -> Codec:
         """The integer codes of the elements (see ``Codec``).  Finite kinds
         build theirs once, at construction, and ignore ``elements``; the
-        unit chain builds one per call over the given elements.  A custom
-        order that is not a distributive lattice has none."""
+        base class's element operators, ``pcomp``, the engine and
+        ``valuation.diff`` run on them.  The unit chain builds one per call
+        over the given elements.  A custom order that is not a distributive
+        lattice has none."""
         if self._codec is None:
             raise LatticeError(
                 "lattice is not distributive: no codes turn its meets and joins into & and |")
@@ -226,9 +246,8 @@ class Lattice:
 
     def pcomp(self, alpha: Elem, beta: Elem) -> Elem:
         """Least gamma with join(alpha, gamma) >= beta: on codes, the
-        down-closure of ``beta & ~alpha``.  Chains (bottom or ``beta``) and
-        powersets (``beta - alpha``) override this with closed forms on
-        their keys, so it serves custom lattices."""
+        down-closure of ``beta & ~alpha``.  It serves every finite kind; the
+        unit chain overrides it with its closed form, bottom or ``beta``."""
         c = self.codec()
         return c.decode(c.pcomp(c.encode(alpha), c.encode(beta)))
 
@@ -244,32 +263,7 @@ class Lattice:
         raise NotImplementedError
 
 
-class _Chain(Lattice):
-    """Totally ordered lattice on element keys that compare with ``<=``.
-    Subclasses set ``_bot`` and ``_top`` and supply the complement."""
-
-    def leq(self, x, y):
-        return x.key <= y.key
-
-    def meet(self, x, y):
-        return x if x.key <= y.key else y
-
-    def join(self, x, y):
-        return x if x.key >= y.key else y
-
-    @property
-    def bot(self):
-        return self._bot
-
-    @property
-    def top(self):
-        return self._top
-
-    def pcomp(self, alpha, beta):
-        return self._bot if beta.key <= alpha.key else beta
-
-
-class LevelChain(_Chain):
+class LevelChain(Lattice):
     """Finite chain of named levels, least level first; each element's key
     is its level's index.
 
@@ -288,7 +282,6 @@ class LevelChain(_Chain):
         self.names = names
         self._elems = tuple(Elem(self, i) for i in range(len(names)))
         self._index = {n: i for i, n in enumerate(names)}
-        self._bot, self._top = self._elems[0], self._elems[-1]
         self._codec = _chain_codec(self._elems)
 
     def element(self, name: str) -> Elem:
@@ -299,9 +292,6 @@ class LevelChain(_Chain):
 
     def elements(self):
         return self._elems
-
-    def complement(self, x):
-        return self._elems[len(self._elems) - 1 - x.key]
 
     def format_element(self, x):
         return self.names[x.key]
@@ -324,7 +314,7 @@ class TwoLattice(LevelChain):
         return self.top
 
 
-class UnitChain(_Chain):
+class UnitChain(Lattice):
     """The chain of exact rationals in [0, 1] with complement 1 - x; each
     element's key is its ``Fraction``.
 
@@ -332,7 +322,9 @@ class UnitChain(_Chain):
     chain is infinite, so exhaustive operations are refused and
     ``is_boolean`` is False.  It is totally ordered, hence distributive over
     arbitrary joins and meets; that is a property of linear orders and is
-    not checked mechanically.
+    not checked mechanically.  It is the one kind without fixed codes (see
+    ``codec``), so its operators compare keys and ``pcomp`` is the closed
+    form of a chain: bottom when ``beta <= alpha``, else ``beta``.
     """
 
     kind = "unit"
@@ -363,8 +355,28 @@ class UnitChain(_Chain):
             raise LatticeError(f"chain value {f} outside [0, 1]")
         return Elem(self, f)
 
+    def leq(self, x, y):
+        return x.key <= y.key
+
+    def meet(self, x, y):
+        return x if x.key <= y.key else y
+
+    def join(self, x, y):
+        return x if x.key >= y.key else y
+
     def complement(self, x):
         return self.element(1 - x.key)
+
+    @property
+    def bot(self):
+        return self._bot
+
+    @property
+    def top(self):
+        return self._top
+
+    def pcomp(self, alpha, beta):
+        return self._bot if beta.key <= alpha.key else beta
 
     def format_element(self, x):
         f = x.key
@@ -376,10 +388,13 @@ class UnitChain(_Chain):
 class PowersetLattice(Lattice):
     """All subsets of a finite label set, ordered by inclusion.
 
-    The complement defaults to set difference from the full label set,
-    which makes the lattice Boolean and valid as built.  An explicit table
-    may override it; validate() checks that the table is an involution that
-    reverses every cover, which makes it a De Morgan complement.
+    Each element's key is its frozenset of labels, and its code the bitmask
+    of its labels, label ``i`` at bit ``i``; the base class's operators act
+    on those codes.  The complement defaults to set difference from the
+    full label set, which makes the lattice Boolean and valid as built.  An
+    explicit table may override it; validate() checks that the table is an
+    involution that reverses every cover, which makes it a De Morgan
+    complement.
 
     ``MAX_LABELS`` stays 12 although validation would allow more:
     ``pair_space`` and table-defined isomorphisms scan ``4**n`` pairs,
@@ -404,27 +419,23 @@ class PowersetLattice(Lattice):
         for i, l in enumerate(labels):
             coded += [(s | {l}, c | 1 << i) for s, c in coded]
         coded.sort(key=lambda sc: self._key_order(sc[0]))
-        subsets = [s for s, _ in coded]
-        self._elems = tuple(Elem(self, s) for s in subsets)
-        self._by_key = {e.key: e for e in self._elems}
-        self._full = full
+        self._elems = tuple(Elem(self, s) for s, _ in coded)
+        codes = [c for _, c in coded]
+        self.has_custom_complement = complement_table is not None
         if complement_table is None:
-            self._comp = {s: full - s for s in subsets}
-            self.has_custom_complement = False
+            comp = [c ^ ((1 << len(labels)) - 1) for c in codes]
         else:
             table = {frozenset(k): frozenset(v) for k, v in complement_table.items()}
-            for s in subsets:
+            for s, _ in coded:
                 if s not in table:
                     raise LatticeError(f"complement table misses {self._fmt(s)}")
                 if not table[s] <= full:
                     raise LatticeError(f"complement of {self._fmt(s)} uses unknown labels")
-            if len(table) != len(subsets):
+            if len(table) != len(coded):
                 raise LatticeError("complement table mentions unknown subsets")
-            self._comp = table
-            self.has_custom_complement = True
-        code = dict(coded)
-        self._codec = Codec(len(labels), self._elems, [c for _, c in coded],
-                            [code[self._comp[s]] for s in subsets])
+            code = dict(coded)
+            comp = [code[table[s]] for s, _ in coded]
+        self._codec = Codec(len(labels), self._elems, codes, comp)
 
     def _key_order(self, s):
         return tuple(sorted(self._label_index[l] for l in s))
@@ -434,37 +445,15 @@ class PowersetLattice(Lattice):
 
     def element(self, members) -> Elem:
         s = frozenset(members)
+        index = self._label_index
         try:
-            return self._by_key[s]
+            return self._codec.decode(sum(1 << index[l] for l in s))
         except KeyError:
-            bad = sorted(s - self._full)
+            bad = sorted(s.difference(self.labels))
             raise LatticeError(f"unknown labels {bad}") from None
 
     def elements(self):
         return self._elems
-
-    def leq(self, x, y):
-        return x.key <= y.key
-
-    def meet(self, x, y):
-        return self._by_key[x.key & y.key]
-
-    def join(self, x, y):
-        return self._by_key[x.key | y.key]
-
-    def complement(self, x):
-        return self._by_key[self._comp[x.key]]
-
-    @property
-    def bot(self):
-        return self._elems[0]
-
-    @property
-    def top(self):
-        return self._by_key[self._full]
-
-    def pcomp(self, alpha, beta):
-        return self._by_key[beta.key - alpha.key]
 
     def format_element(self, x):
         return self._fmt(x.key)
@@ -669,18 +658,18 @@ def validate(lat: Lattice) -> ValidationReport:
     Every kind must be a bounded distributive lattice whose complement is an
     order-reversing involution subject to both De Morgan laws.
 
-    - Chains (every ``_Chain``) are valid as built.  Level chains (and
-      ``two``) are distinct integer levels under ``<=``, the unit chain is
-      the exact rationals in [0, 1], and each complement (reversal,
-      ``1 - x``) is an order-reversing involution.  A total order is distributive, and an
-      order-reversing involution of it satisfies both De Morgan laws.
+    - Chains are valid as built: level chains (and ``two``), whose level
+      ``r`` has code ``(1 << r) - 1`` and whose complement reverses the
+      levels, and the unit chain, the exact rationals in [0, 1] under
+      ``<=`` with complement ``1 - x``.  A total order is distributive, and
+      an order-reversing involution of it satisfies both De Morgan laws.
     - Powersets are a Boolean lattice under inclusion, and set difference is
       its complement, so the default complement is valid as built.  An
-      explicit complement table gets two checks: it is an involution, and it
-      reverses every cover ``S < S | {l}``.  By transitivity it then reverses
-      the whole order; an order-reversing involution is a dual automorphism,
-      so both De Morgan laws follow.  That is ``n * 2**n`` checks in place
-      of a cubic scan.
+      explicit complement table gets two checks, on the complement codes: it
+      is an involution, and it reverses every cover ``S < S | {l}``.  By
+      transitivity it then reverses the whole order; an order-reversing
+      involution is a dual automorphism, so both De Morgan laws follow.
+      That is ``n * 2**n`` checks in place of a cubic scan.
     - Custom lattices are checked on their order rows and int tables for
       what construction leaves open.  Reflexivity, transitivity and the
       extremality of each table entry hold as built.  An order whose
@@ -694,7 +683,7 @@ def validate(lat: Lattice) -> ValidationReport:
 
     Failures name the first offender found.
     """
-    if isinstance(lat, _Chain):
+    if isinstance(lat, (LevelChain, UnitChain)):
         return ValidationReport(True)
     if isinstance(lat, PowersetLattice):
         return _validate_powerset(lat)
@@ -704,18 +693,16 @@ def validate(lat: Lattice) -> ValidationReport:
 def _validate_powerset(lat: PowersetLattice) -> ValidationReport:
     if not lat.has_custom_complement:
         return ValidationReport(True)
-    comp, fmt = lat._comp, lat._fmt
-    sets = [x.key for x in lat.elements()]
-    for s in sets:
-        if comp[comp[s]] != s:
-            return _fail(f"complement not an involution at {fmt(s)}")
-    for s in sets:
-        cs = comp[s]
-        for l in lat.labels:
-            if l not in s:
-                t = s | {l}
-                if not comp[t] <= cs:
-                    return _fail(f"complement not order-reversing at {fmt(s)}, {fmt(t)}")
+    c, fmt = lat.codec(), lat.format_element
+    comp, codes = c.complement, [c.encode(x) for x in lat.elements()]
+    for x, cx in zip(lat.elements(), codes):
+        if comp(comp(cx)) != cx:
+            return _fail(f"complement not an involution at {fmt(x)}")
+    for x, cx in zip(lat.elements(), codes):
+        for i in range(len(lat.labels)):
+            t = cx | 1 << i
+            if t != cx and comp(t) & ~comp(cx):
+                return _fail(f"complement not order-reversing at {fmt(x)}, {fmt(c.decode(t))}")
     return ValidationReport(True)
 
 

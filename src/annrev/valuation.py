@@ -6,7 +6,8 @@ interchangeable through theta.  This module also houses satisfaction, which
 reads every annotated atom, of either rule syntax, as the evidence pair the
 atom classes encode it to; the application of a change valuation; and the
 least-change difference: per atom a least fixpoint of relative
-pseudo-complements, with transformability read off its result.
+pseudo-complements, computed on the lattice's pair codes as the engine
+computes, with transformability read off its result.
 """
 
 from __future__ import annotations
@@ -238,36 +239,31 @@ def diff(R: PairValuation, B: PairValuation) -> PairValuation:
     """Least change valuation transforming B into R, or the all-top
     valuation when no change valuation does.
 
-    Per atom, ``c`` solves ``(b & -c) | c == r`` exactly when ``c <= r``,
-    ``c.pos >= pcomp(b.pos & ~c.neg, r.pos) | pcomp(~b.neg, ~r.neg)`` and
-    ``c.neg >= pcomp(b.neg & ~c.pos, r.neg) | pcomp(~b.pos, ~r.pos)``; the
-    second terms restate ``b.neg & ~c.pos <= r.neg`` and
-    ``b.pos & ~c.neg <= r.pos`` through De Morgan.  Both bounds are
-    monotone in the other component, so their least fixpoint, iterated
-    from the bottom pair, lies below every solution: it is the least
-    solution when it solves the equation, and there is none when it does
-    not.
+    Per atom, ``c`` solves ``(b & -c) | c == r`` exactly when ``c <= r``
+    and ``c >= pcomp(b & -c, r) | pcomp(-b, -r)``: the first term restates
+    ``r <= (b & -c) | c``, and the second restates ``b & -c <= r``, that
+    is ``-r <= -b | c``, through De Morgan.  The bound is monotone in
+    ``c``, so its least fixpoint, iterated from the bottom pair, lies below
+    every solution: it is the least solution when it solves the equation,
+    and there is none when it does not.  Like the engine, it runs on pair
+    codes, from one codec per call over the values of ``R`` and ``B``; an
+    order with no codes raises ``LatticeError``.
     """
     if R.lattice is not B.lattice:
         raise LatticeMismatchError("valuations over different lattices")
     if R.atoms != B.atoms:
         raise ValueError("valuations over different universes")
     lat = B.lattice
-    pcomp = lat.pcomp
+    codec = lat.codec(e for v in (R, B) for _, pv in v.items() for e in (pv.pos, pv.neg))
+    pcomp, conflate = codec.pcomp, codec.conflate
     out = {}
     for a in B.atoms:
-        r, b = R[a], B[a]
-        p_floor = pcomp(~b.neg, ~r.neg)
-        n_floor = pcomp(~b.pos, ~r.pos)
-        p = n = lat.bot
-        while True:
-            p2 = pcomp(b.pos & ~n, r.pos) | p_floor
-            n2 = pcomp(b.neg & ~p2, r.neg) | n_floor
-            if p2 == p and n2 == n:
-                break
-            p, n = p2, n2
-        c = PairValue(p, n)
-        if ((b & -c) | c) != r:
+        r, b = codec.pair(R[a]), codec.pair(B[a])
+        floor = pcomp(conflate(b), conflate(r))
+        x, prev = 0, None
+        while x != prev:
+            prev, x = x, pcomp(b & conflate(x), r) | floor
+        if (b & conflate(x)) | x != r:
             return PairValuation.top(lat, B.atoms)
-        out[a] = c
+        out[a] = codec.unpair(x)
     return PairValuation(lat, out)

@@ -21,6 +21,7 @@ from annrev import (
     UnitChain,
     UnsupportedOperationError,
     apply_change,
+    diff,
     enumerate_revisions,
     f_reduct,
     is_justified_revision,
@@ -36,6 +37,7 @@ from annrev import (
     tp_heads,
     tpb,
     tr1,
+    transformable,
 )
 from helpers import (
     all_valuations,
@@ -638,7 +640,7 @@ def test_unit_chain_per_call_codes_agree_with_literal_oracle():
 
 def test_engine_rejects_non_distributive_custom_lattice():
     # parse rejects M3, so it reaches the engine only through the API; the
-    # engine has no codes for it and says so instead of answering.
+    # engine and diff have no codes for it and say so instead of answering.
     m3 = CustomLattice(
         ("bot", "a", "b", "c", "top"),
         [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"),
@@ -647,7 +649,8 @@ def test_engine_rejects_non_distributive_custom_lattice():
     p = old_program(m3, ("x",), [(("in", "x", "a"), [("out", "x", "b")])])
     B = PairValuation.bottom(m3, ("x",))
     for call in (lambda: necessary_change(p), lambda: is_model(p, B),
-                 lambda: is_justified_revision(p, B, B), lambda: enumerate_revisions(p, B)):
+                 lambda: is_justified_revision(p, B, B), lambda: enumerate_revisions(p, B),
+                 lambda: diff(B, B), lambda: transformable(B, B)):
         with pytest.raises(LatticeError, match="not distributive"):
             call()
 

@@ -578,10 +578,10 @@ def test_pcomp_defining_property_exhaustive():
 
 
 def test_pcomp_shortcut_matches_scan_exhaustive():
-    # pcomp's closed forms (set difference on powersets, the down-closure
-    # of beta & ~alpha on the codes of custom lattices) against the scan,
-    # the meet of all satisfying elements, on every pair, the pairs with
-    # beta <= alpha, whose answer is bottom, included.
+    # pcomp, the down-closure of beta & ~alpha on the codes (set difference
+    # on a powerset's label bits), against the scan, the meet of all
+    # satisfying elements, on every pair, the pairs with beta <= alpha,
+    # whose answer is bottom, included.
     stacked = CustomLattice(
         ("bot", "c", "a", "b", "ab", "top"),
         [("bot", "c"), ("c", "a"), ("c", "b"), ("a", "ab"), ("b", "ab"), ("ab", "top")],
