@@ -17,23 +17,25 @@ bits and the negative side shifted above them.  So ``<=`` is
 ``x & y == x``, join is ``|``, meet is ``&``, conflation is one complement
 lookup per side, and the mpt reduct's ``pcomp`` is the down-closure of
 ``b & ~a``.  A valuation is a sequence of pair codes in universe order,
-and the compiled form of a rule is a ``(source_index, head_atom,
-head_code, body)`` tuple, atoms numbered in universe order and the body a
-tuple of ``(atom, code)``.  Elements, pair values, valuations and outcomes are the
-API boundary: a call encodes its inputs once and decodes each value it
-returns once.
+and the compiled form of a rule is a ``(head_atom, head_code, body)``
+tuple at its source index, atoms numbered in universe order and the body
+a tuple of ``(atom, code)``.  Elements, pair values, valuations and
+outcomes are the API boundary: a call encodes its inputs once and decodes
+each value it returns once.
 
 One step function serves ``tp``, ``tp_heads``, ``tpb`` and both model
 checks, and one least-fixpoint loop serves ``necessary_change`` and the
 reduct inside each check.  The loop is semi-naive: after the first step it
 tests only the unfired rules that read an atom whose value just changed,
-and it reaches the fixpoint within #rules productive steps.  One check,
-which keeps the rules the candidate satisfies and reduces only their
-bodies, serves ``is_justified_revision`` and ``enumerate_revisions``.
-Enumeration reduces each body and builds the loop's dependency lists once,
-and candidates that keep the same rules share one fixpoint run.  A custom
-order that is not a distributive lattice has no codes, and every call on
-it, like ``valuation.diff``, raises ``LatticeError``.
+and it reaches the fixpoint within #rules productive steps.  It records
+only the rules that first fire at each step; a returned outcome's trace
+accumulates them.  One check, which keeps the rules the candidate
+satisfies and reduces only their bodies, serves ``is_justified_revision``
+and ``enumerate_revisions``.  Enumeration reduces each body and builds the
+loop's dependency lists once, and candidates that keep the same rules
+share one fixpoint run.  A custom order that is not a distributive lattice
+has no codes, and every call on it, like ``valuation.diff``, raises
+``LatticeError``.
 
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
 Both rule syntaxes reach this module through the annotated atoms' ``atom``
@@ -91,8 +93,8 @@ def _compile(p: Program, *valuations):
     """The call's codec and compiled rules.
 
     The codec covers the rules' annotations and the values of
-    ``valuations``; only the unit chain reads them.  Each rule becomes
-    ``(source_index, head_atom, head_code, body)``, the body a tuple of
+    ``valuations``; only the unit chain reads them.  Rule ``i`` becomes
+    ``rules[i] = (head_atom, head_code, body)``, the body a tuple of
     ``(atom, code)`` from the annotated atoms' ``atom`` and ``pair``, each
     read once per literal; satisfaction, the one-step operator, and both
     reducts agree with the literal definitions under this encoding."""
@@ -101,9 +103,9 @@ def _compile(p: Program, *valuations):
     codec = p.lattice.codec(e for pv in pairs for e in (pv.pos, pv.neg))
     index = {a: k for k, a in enumerate(p.universe)}
     codes = map(codec.pair, literals)  # consumed in literal order, as built
-    rules = [(i, index[r.head.atom], next(codes),
+    rules = [(index[r.head.atom], next(codes),
               tuple((index[b.atom], next(codes)) for b in r.body))
-             for i, r in enumerate(p.rules)]
+             for r in p.rules]
     return codec, rules
 
 
@@ -123,7 +125,7 @@ def _step(rules, vals):
     rules."""
     new = [0] * len(vals)
     fired = []
-    for i, ha, hc, body in rules:
+    for i, (ha, hc, body) in enumerate(rules):
         if all(c & vals[a] == c for a, c in body):
             new[ha] |= hc
             fired.append(i)
@@ -182,7 +184,7 @@ def _watch(rules, n):
     """Per atom ``0 <= a < n``, the indices of the rules whose bodies read
     it: the dependency lists of ``_lfp``."""
     watch = [[] for _ in range(n)]
-    for k, (_, _, _, body) in enumerate(rules):
+    for k, (_, _, body) in enumerate(rules):
         for a, _ in body:
             watch[a].append(k)
     return watch
@@ -192,7 +194,7 @@ def _lfp(rules, watch, kept):
     """Least fixpoint of the operator of the rules ``kept`` (indices into
     ``rules``, whose dependency lists are ``watch``), iterated from the
     bottom valuation.  Returns the fixpoint and, per productive step, the
-    source indices of every rule fired so far, in source order.
+    indices of the rules that first fire at that step, in source order.
 
     The iteration is semi-naive.  A fired rule stays fired along the
     increasing iterates, so each iterate is the join of the heads of a
@@ -201,33 +203,38 @@ def _lfp(rules, watch, kept):
     that read an atom the previous step changed are tested again.  A step
     is productive when some value changes, which takes a newly fired rule,
     so the fixpoint is reached within #rules productive steps; a further
-    productive step is an internal invariant violation.  The trace has one
-    entry per productive step, so its length is the step count.  The fired
-    source indices are kept in one sorted list, which each newly fired rule
-    joins by ``insort``; a productive step appends a tuple copy of it, so
-    no step sorts the whole fired set again.
+    productive step is an internal invariant violation.  There is one entry
+    per productive step, so the entries' count is the step count; they are
+    disjoint, and ``_trace`` accumulates them into a trace.
     """
     vals = [0] * len(watch)
-    live = set(kept)
-    sources = []
-    trace = []
-    todo = kept
+    live, todo = set(kept), kept
+    steps = []
     for _ in range(len(kept) + 1):
-        new = [k for k in todo if all(c & vals[a] == c for a, c in rules[k][3])]
+        new = sorted([k for k in todo if all(c & vals[a] == c for a, c in rules[k][2])])
         changed = set()
         for k in new:
-            i, ha, hc, _ = rules[k]
-            insort(sources, i)
+            ha, hc, _ = rules[k]
             if hc & ~vals[ha]:
                 vals[ha] |= hc
                 changed.add(ha)
         if not changed:
-            return vals, tuple(trace)
+            return vals, tuple(steps)
         live.difference_update(new)
-        trace.append(tuple(sources))
+        steps.append(new)
         todo = {k for a in changed for k in watch[a] if k in live}
     raise FixpointBoundError(
         f"no fixpoint within {len(kept) + 1} steps for {len(kept)} rules")
+
+
+def _trace(steps):
+    """Entry ``k``: the rules fired by ``_lfp``'s step ``k``, in source order."""
+    fired, trace = [], []
+    for step in steps:
+        for i in step:
+            insort(fired, i)
+        trace.append(tuple(fired))
+    return tuple(trace)
 
 
 def necessary_change(p: Program) -> PairValuation:
@@ -317,8 +324,8 @@ def _reduce(rules, semantics, codec, bi):
     ``bi`` satisfies.  Both drop a literal ``bi`` satisfies, since mpt
     weakens it to bottom, which every value satisfies."""
     weaken = codec.pcomp if semantics == MPT else lambda _, c: c
-    return [(i, ha, hc, tuple((a, weaken(bi[a], c)) for a, c in body if c & bi[a] != c))
-            for i, ha, hc, body in rules]
+    return [(ha, hc, tuple((a, weaken(bi[a], c)) for a, c in body if c & bi[a] != c))
+            for ha, hc, body in rules]
 
 
 def _checker(p, semantics, B_I, *valuations):
@@ -328,7 +335,7 @@ def _checker(p, semantics, B_I, *valuations):
     ``justify(br)``, which checks the candidate ``br``, a tuple of pair
     codes: it keeps the rules whose bodies ``br`` satisfies, takes the
     least fixpoint ``C`` of their reduced bodies, and compares
-    ``(B_I & -C) | C`` with ``br``.  It returns (verified, change, trace).
+    ``(B_I & -C) | C`` with ``br``.  It returns (verified, change, steps).
     Candidates that keep the same rules share the reduct, so each kept
     set's fixpoint and revision are computed once.
     """
@@ -340,14 +347,14 @@ def _checker(p, semantics, B_I, *valuations):
     reducts = {}
 
     def justify(br):
-        kept = tuple([k for k, (_, _, _, body) in enumerate(rules)
+        kept = tuple([k for k, (_, _, body) in enumerate(rules)
                       if all(c & br[a] == c for a, c in body)])
         if kept not in reducts:
-            change, trace = _lfp(reduced, watch, kept)
+            change, steps = _lfp(reduced, watch, kept)
             revised = tuple([(b & conflate(c)) | c for b, c in zip(bi, change)])
-            reducts[kept] = change, trace, revised
-        change, trace, revised = reducts[kept]
-        return revised == br, change, trace
+            reducts[kept] = change, steps, revised
+        change, steps, revised = reducts[kept]
+        return revised == br, change, steps
 
     return codec, rules, bi, justify
 
@@ -359,8 +366,8 @@ def is_justified_revision(p, B_I, B_R, semantics=MPT) -> RevisionOutcome:
     _check_semantics(semantics)
     _check_compatible(p, B_I, B_R)
     codec, _, _, justify = _checker(p, semantics, B_I, B_R)
-    ok, change, trace = justify(_encode(codec, B_R))
-    return RevisionOutcome(B_R, semantics, _decode(p, codec, change), ok, trace)
+    ok, change, steps = justify(_encode(codec, B_R))
+    return RevisionOutcome(B_R, semantics, _decode(p, codec, change), ok, _trace(steps))
 
 
 def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
@@ -380,7 +387,7 @@ def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
     codec, rules, bi, justify = _checker(p, semantics, B_I)
     # Per atom, every join of a subset of its rule heads, bottom included.
     joins = [{0: None} for _ in bi]
-    for _, ha, hc, _ in rules:
+    for ha, hc, _ in rules:
         closure = joins[ha]
         for j in tuple(closure):
             closure.setdefault(j | hc)
@@ -394,9 +401,9 @@ def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
                 for b, closure in zip(bi, joins)]
     found = []
     for cand in product(*per_atom):
-        ok, change, trace = justify(cand)
+        ok, change, steps = justify(cand)
         if ok:
             found.append(RevisionOutcome(_decode(p, codec, cand), semantics,
-                                         _decode(p, codec, change), True, trace))
+                                         _decode(p, codec, change), True, _trace(steps)))
     found.sort(key=lambda o: o.candidate.canonical_text())
     return found

@@ -48,17 +48,17 @@ class Codec:
     __slots__ = ("width", "top", "_mask", "_code", "_elem", "_comp", "_down")
 
     def __init__(self, width, elems, codes, comp, down=None):
-        """``elems[k]`` has code ``codes[k]`` and its complement has code
-        ``comp[k]``; ``down[j]`` is the code of join-irreducible ``j``, or
-        ``down`` is None when they are pairwise incomparable, so that every
-        mask is a down-set."""
+        """``elems[k]`` has code ``codes[k]`` and its complement code
+        ``comp[k]``.  ``down[j]`` is the code of join-irreducible ``j``, which
+        is copied onto the negative side for pair codes, or None when they
+        are pairwise incomparable, so that every mask is a down-set."""
         self.width = width
         self.top = max(codes)
         self._mask = (1 << width) - 1
         self._code = {e.key: c for e, c in zip(elems, codes)}
         self._elem = dict(zip(codes, elems))
         self._comp = dict(zip(codes, comp))
-        self._down = down
+        self._down = None if down is None else down + [d << width for d in down]
 
     def encode(self, x: Elem) -> int:
         return self._code[x.key]
@@ -82,25 +82,17 @@ class Codec:
         comp = self._comp
         return comp[x >> self.width] | comp[x & self._mask] << self.width
 
-    def _close_side(self, m):
-        down, out = self._down, 0
+    def pcomp(self, a: int, b: int) -> int:
+        """Least ``g`` with ``a | g >= b``, on element or pair codes: the
+        down-closure of ``b & ~a``."""
+        m, out, down = b & ~a, 0, self._down
+        if down is None:
+            return m
         while m:
             d = down[m.bit_length() - 1]
             out |= d
             m &= ~d
         return out
-
-    def close(self, m: int) -> int:
-        """The least down-set containing mask ``m``, on each side of a pair
-        code (an element code is a pair code with a bottom negative side)."""
-        if self._down is None:
-            return m
-        w = self.width
-        return self._close_side(m & self._mask) | self._close_side(m >> w) << w
-
-    def pcomp(self, a: int, b: int) -> int:
-        """Least ``g`` with ``a | g >= b``, on element or pair codes."""
-        return self.close(b & ~a)
 
 
 def _chain_codec(elems):
@@ -245,11 +237,11 @@ class Lattice:
         return self._codec
 
     def pcomp(self, alpha: Elem, beta: Elem) -> Elem:
-        """Least gamma with join(alpha, gamma) >= beta: on codes, the
-        down-closure of ``beta & ~alpha``.  It serves every finite kind; the
-        unit chain overrides it with its closed form, bottom or ``beta``."""
+        """Least gamma with join(alpha, gamma) >= beta, read off the codec's
+        tables: the down-closure of ``beta & ~alpha``.  The unit chain
+        overrides it with its closed form, bottom or ``beta``."""
         c = self.codec()
-        return c.decode(c.pcomp(c.encode(alpha), c.encode(beta)))
+        return c._elem[c.pcomp(c._code[alpha.key], c._code[beta.key])]
 
     def is_boolean(self) -> bool:
         """True when the complement is a Boolean complement.  Infinite

@@ -59,7 +59,7 @@ from helpers import (
     reference_lfp,
     valuation,
 )
-from annrev.engine import _compile, _lfp, _watch
+from annrev.engine import _compile, _lfp, _trace, _watch
 
 FIXTURES = Path(__file__).parent / "fixtures"
 unit = UnitChain()
@@ -558,12 +558,13 @@ def test_trace_matches_sorted_fired_reference():
     # The engine's incremental trace against a naive loop that sorts the
     # fired set on every productive step: for the necessary change (the
     # loop ``necessary_change`` runs) and for each candidate check, whose
-    # reference iterates the public ``reduct``/``f_reduct``.
+    # reference iterates the public ``reduct``/``f_reduct``.  ``_lfp``
+    # returns per-step fired sets, and ``_trace`` makes them cumulative.
     steps = 0
     for p, B_I, candidates in _trace_problems(random.Random(71)):
         codec, rules = _compile(p)
-        vals, trace = _lfp(rules, _watch(rules, len(p.universe)), range(len(rules)))
-        vals = dict(zip(p.universe, map(codec.unpair, vals)))
+        vals, fired = _lfp(rules, _watch(rules, len(p.universe)), range(len(rules)))
+        vals, trace = dict(zip(p.universe, map(codec.unpair, vals))), _trace(fired)
         assert (vals, trace) == reference_lfp(
             p.lattice, p.universe, range(len(p.rules)), p.rules)
         assert PairValuation(p.lattice, vals) == necessary_change(p)
@@ -578,6 +579,33 @@ def test_trace_matches_sorted_fired_reference():
                 assert got.necessary_change == PairValuation(p.lattice, change)
                 _assert_nested(got.trace)
     assert steps > 100
+
+
+def test_lfp_keeps_one_fired_set_per_step():
+    # Each entry of ``_lfp`` holds only the rules that first fire at its
+    # step, so the entries are disjoint and together hold every rule that
+    # fires, the late one aside, which fires on the final, unproductive
+    # step.  ``_trace`` rebuilds the cumulative trace that the naive
+    # reference records and a returned outcome carries.
+    rng = random.Random(73)
+    lat = powerset_pq()
+    for syntax in (OLD, NEW):
+        for cross in (0, 100):
+            p, late = deep_chain_program(rng, lat, syntax, 300, cross)
+            _, rules = _compile(p)
+            _, steps = _lfp(rules, _watch(rules, len(p.universe)), range(len(rules)))
+            assert len(steps) == 300
+            for step in steps:
+                assert list(step) == sorted(set(step))
+            fired = set().union(*steps)
+            assert sum(map(len, steps)) == len(fired) == len(rules) - 1
+            assert fired == set(range(len(rules))) - {late}
+            trace = _trace(steps)
+            assert trace == reference_lfp(lat, p.universe, range(len(p.rules)), p.rules)[1]
+            bottom = PairValuation.bottom(lat, p.universe)
+            for semantics in (MPT, FITTING):
+                got = is_justified_revision(p, bottom, necessary_change(p), semantics)
+                assert got.verified and got.trace == trace
 
 
 def test_enumeration_deterministic():
