@@ -389,8 +389,7 @@ class PowersetLattice(Lattice):
     complement.
 
     ``MAX_LABELS`` stays 12 although validation would allow more:
-    ``pair_space`` and table-defined isomorphisms scan ``4**n`` pairs,
-    which is 16.7M at 12 labels.
+    only ``pair_space`` scans ``4**n`` pairs, 16.7M at 12 labels.
     """
 
     kind = "powerset"

@@ -14,6 +14,7 @@ from annrev import (
     CapExceededError,
     CustomLattice,
     LatticeError,
+    PairMap,
     PairValuation,
     PairValue,
     PowersetLattice,
@@ -668,7 +669,8 @@ def test_unit_chain_per_call_codes_agree_with_literal_oracle():
 
 def test_engine_rejects_non_distributive_custom_lattice():
     # parse rejects M3, so it reaches the engine only through the API; the
-    # engine and diff have no codes for it and say so instead of answering.
+    # engine, diff and the pair-map cover check have no codes for it and say
+    # so instead of answering.
     m3 = CustomLattice(
         ("bot", "a", "b", "c", "top"),
         [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"),
@@ -678,7 +680,8 @@ def test_engine_rejects_non_distributive_custom_lattice():
     B = PairValuation.bottom(m3, ("x",))
     for call in (lambda: necessary_change(p), lambda: is_model(p, B),
                  lambda: is_justified_revision(p, B, B), lambda: enumerate_revisions(p, B),
-                 lambda: diff(B, B), lambda: transformable(B, B)):
+                 lambda: diff(B, B), lambda: transformable(B, B),
+                 lambda: PairMap.from_permutation(m3, {e: e for e in m3.elements()})):
         with pytest.raises(LatticeError, match="not distributive"):
             call()
 

@@ -9,6 +9,7 @@ from annrev import (
     MPT,
     CustomLattice,
     LatticeError,
+    LatticeMismatchError,
     NewRule,
     PairAnnotatedAtom,
     PairIso,
@@ -30,6 +31,7 @@ from annrev import (
 )
 from helpers import (
     chain4,
+    chain_product,
     old_program,
     pair_order_preserved,
     powerset_pq,
@@ -101,14 +103,15 @@ def test_apply_iso_rejects_old_syntax():
     assert apply_iso(iso, tr1(p)) == tr1(p)
 
 
-def test_pairmap_validation_rejects_non_order_map():
-    lat = powerset_pq()
-    space = list(pair_space(lat))
-    shuffled = space[:]
-    random.Random(5).shuffle(shuffled)
-    table = dict(zip(space, shuffled))
-    with pytest.raises(LatticeError):
-        PairMap.from_table(lat, table)
+def test_apply_iso_rejects_other_lattice():
+    lat, other = powerset_pq(), powerset_pq()
+    B = random_valuation(random.Random(2), other, ("a",))
+    p = random_new_program(random.Random(2), other, ("a",), 3)
+    for m in (PairMap.identity(lat), PairMap.swap(lat)):
+        iso = PairIso(lat, {}, m)
+        for x in (B, p):
+            with pytest.raises(LatticeMismatchError):
+                apply_iso(iso, x)
 
 
 def _diamond():
@@ -118,9 +121,26 @@ def _diamond():
         {"bot": "top", "a": "b", "b": "a", "top": "bot"})
 
 
+def _grid3x3():
+    return chain_product(3, 3)
+
+
+def _symmetry(rng, lat):
+    """A random label permutation, or on a lattice without labels the
+    identity or the grid transposition ``x{i}y{j} -> x{j}y{i}``."""
+    if hasattr(lat, "labels"):
+        return random_label_perm(rng, lat)
+    if rng.random() < 0.5:
+        return {e: e for e in lat.elements()}
+    def transposed(e):
+        i, j = lat.format_element(e)[1:].split("y")
+        return lat.element(f"x{j}y{i}")
+    return {e: transposed(e) for e in lat.elements()}
+
+
 def _element_perms(rng, lat):
     """Every element permutation on small lattices; on larger ones random
-    permutations, label permutations, and label permutations with two
+    permutations, symmetries (``_symmetry``), and symmetries with two
     images exchanged."""
     els = list(lat.elements())
     if len(els) <= 4:
@@ -130,7 +150,7 @@ def _element_perms(rng, lat):
         images = els[:]
         rng.shuffle(images)
         out.append(dict(zip(els, images)))
-        perm = random_label_perm(rng, lat)
+        perm = _symmetry(rng, lat)
         out.append(perm)
         a, b = rng.sample(els, 2)
         perm = dict(perm)
@@ -144,7 +164,7 @@ def _conflation_by_pair_space(m):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: PowersetLattice(("p", "q", "r")), chain4, _diamond, powerset_pqr_custom])
+    lambda: PowersetLattice(("p", "q", "r")), chain4, _diamond, powerset_pqr_custom, _grid3x3])
 def test_structural_pairmap_matches_pair_space_check(make):
     rng = random.Random(13)
     lat = make()
@@ -165,9 +185,11 @@ def test_structural_pairmap_matches_pair_space_check(make):
                 assert expected
                 accepted.append(m)
     assert accepted and rejected
-    composed = [m.then(n) for m in accepted[:6] for n in accepted[:6]]
-    for both in composed:
-        assert both.is_structural() and pair_order_preserved(lat, both)
+    pairs = [(m, n) for m in accepted[:6] for n in accepted[:6]]
+    composed = [m.then(n) for m, n in pairs]
+    for (m, n), both in zip(pairs, composed):
+        assert pair_order_preserved(lat, both)
+        assert all(both(v) == n(m(v)) for v in pair_space(lat))
     answers = set()
     for m in accepted + composed:
         answers.add(m.preserves_conflation())

@@ -226,6 +226,17 @@ def test_iso_star_default_and_composition():
     assert iso.map_for("b")(v) == v
 
 
+def test_iso_composition_applies_left_to_right():
+    doc = parse("lattice powerset { p, q, r }\nuniverse { a }\nprogram { }\n")
+    iso = parse_iso("iso { a: perm(p->q, q->r, r->p) perm(q->r, r->q); }",
+                    doc.lattice, doc.universe)
+    lat = doc.lattice
+    from annrev import PairValue
+    # p->q first, then q->r; the reverse order would give <{q}, {}>
+    v = PairValue(lat.element({"p"}), lat.bot)
+    assert iso.map_for("a")(v) == PairValue(lat.element({"r"}), lat.bot)
+
+
 def test_serialize_valuation_json():
     doc = parse(fixture_text("proposal.arp"))
     payload = json.loads(serialize(doc.init, "json"))
