@@ -35,6 +35,7 @@ from .lattice import (
     Codec,
     CustomLattice,
     Elem,
+    InvalidLatticeError,
     Lattice,
     LatticeError,
     LatticeMismatchError,

@@ -33,9 +33,7 @@ accumulates them.  One check, which keeps the rules the candidate
 satisfies and reduces only their bodies, serves ``is_justified_revision``
 and ``enumerate_revisions``.  Enumeration reduces each body and builds the
 loop's dependency lists once, and candidates that keep the same rules
-share one fixpoint run.  A custom order that is not a distributive lattice
-has no codes, and every call on it, like ``valuation.diff``, raises
-``LatticeError``.
+share one fixpoint run.
 
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
 Both rule syntaxes reach this module through the annotated atoms' ``atom``

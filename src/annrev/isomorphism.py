@@ -27,11 +27,11 @@ class PairMap:
     in the lattice of down-sets of join-irreducibles, ``y`` covers ``x``
     exactly when ``y``'s code is ``x``'s plus one bit, a bijection monotone
     on covers is monotone, and a monotone bijection of a finite order is an
-    automorphism.  A custom order that is not distributive has no codes and
-    is refused.  Likewise the map commutes with conflation exactly when its
-    permutation commutes with the complement, since the swap always does;
-    that takes ``|L|`` checks.  Infinite lattices admit only identity and
-    swap.
+    automorphism.  Every finite handle has codes, since its constructor
+    proves it distributive.  Likewise the map commutes with conflation
+    exactly when its permutation commutes with the complement, since the
+    swap always does; that takes ``|L|`` checks.  Infinite lattices admit
+    only identity and swap.
     """
 
     __slots__ = ("lattice", "_perm", "_swap")
@@ -91,7 +91,8 @@ class PairMap:
         """Composition, applying self first.
 
         Component swaps commute with componentwise permutations, so two maps
-        compose into another one.
+        compose into another one.  A composition of automorphisms is one, so
+        the result is built without the constructor's check.
         """
         if other.lattice is not self.lattice:
             raise LatticeError("maps over different lattices")
@@ -101,7 +102,9 @@ class PairMap:
             perm = self._perm
         else:
             perm = {x: other._perm[y] for x, y in self._perm.items()}
-        return PairMap(self.lattice, perm=perm, swap=self._swap != other._swap)
+        out = PairMap.__new__(PairMap)
+        out.lattice, out._perm, out._swap = self.lattice, perm, self._swap != other._swap
+        return out
 
     def preserves_conflation(self) -> bool:
         """Whether the map commutes with conflation ``-(p, n) = (~n, ~p)``."""

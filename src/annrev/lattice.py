@@ -31,6 +31,11 @@ class UnsupportedOperationError(LatticeError):
     """The operation is not defined for this lattice kind."""
 
 
+class InvalidLatticeError(LatticeError):
+    """A lattice declaration breaks an axiom; the message names the first
+    offender."""
+
+
 class Codec:
     """Integer codes of one lattice's elements, the engine's kernel.
 
@@ -167,14 +172,15 @@ class Lattice:
     ``cx & cy == cx``, meet is ``&``, join is ``|``, the complement is the
     codec's table, bottom is code 0 and top is ``Codec.top``.  They read
     the codec's dicts directly, since every ``Elem`` operator lands here.
-    Powersets and level chains use them as they are.  The unit chain has
-    no fixed codes and answers on its ``Fraction`` keys; custom lattices
-    answer from their order rows and tables, which also serve orders that
-    are not distributive lattices.
+    Every finite kind uses them as they are; the unit chain has no fixed
+    codes and answers on its ``Fraction`` keys.
 
-    Handles compare by identity and are immutable after construction: no
-    method writes an attribute, so they are safe to share between
-    concurrent readers.
+    Handles are valid by construction: a constructor whose declaration
+    breaks an axiom raises ``InvalidLatticeError``, so every handle is a
+    bounded distributive lattice with a De Morgan complement.  Handles
+    compare by identity and are immutable after construction: no method
+    writes an attribute, so they are safe to share between concurrent
+    readers.
     """
 
     kind = "abstract"
@@ -229,11 +235,7 @@ class Lattice:
         build theirs once, at construction, and ignore ``elements``; the
         base class's element operators, ``pcomp``, the engine and
         ``valuation.diff`` run on them.  The unit chain builds one per call
-        over the given elements.  A custom order that is not a distributive
-        lattice has none."""
-        if self._codec is None:
-            raise LatticeError(
-                "lattice is not distributive: no codes turn its meets and joins into & and |")
+        over the given elements."""
         return self._codec
 
     def pcomp(self, alpha: Elem, beta: Elem) -> Elem:
@@ -383,12 +385,15 @@ class PowersetLattice(Lattice):
     Each element's key is its frozenset of labels, and its code the bitmask
     of its labels, label ``i`` at bit ``i``; the base class's operators act
     on those codes.  The complement defaults to set difference from the
-    full label set, which makes the lattice Boolean and valid as built.  An
-    explicit table may override it; validate() checks that the table is an
-    involution that reverses every cover, which makes it a De Morgan
-    complement.
+    full label set, which makes the lattice Boolean.  An explicit table may
+    override it.  Construction then checks, on the complement codes, that
+    the table is an involution and that it reverses every cover ``S < S |
+    {l}``, and raises ``InvalidLatticeError`` at the first failure.  By
+    transitivity the table then reverses the whole order; an
+    order-reversing involution is a dual automorphism, so both De Morgan
+    laws follow.  That is ``n * 2**n`` checks in place of a cubic scan.
 
-    ``MAX_LABELS`` stays 12 although validation would allow more:
+    ``MAX_LABELS`` stays 12 although the checks would allow more:
     only ``pair_space`` scans ``4**n`` pairs, 16.7M at 12 labels.
     """
 
@@ -426,6 +431,16 @@ class PowersetLattice(Lattice):
                 raise LatticeError("complement table mentions unknown subsets")
             code = dict(coded)
             comp = [code[table[s]] for s, _ in coded]
+            image = dict(zip(codes, comp))
+            for s, c in coded:
+                if image[image[c]] != c:
+                    raise InvalidLatticeError(f"complement not an involution at {self._fmt(s)}")
+            for s, c in coded:
+                for i, l in enumerate(labels):
+                    t = c | 1 << i
+                    if t != c and image[t] & ~image[c]:
+                        raise InvalidLatticeError(
+                            f"complement not order-reversing at {self._fmt(s)}, {self._fmt(s | {l})}")
         self._codec = Codec(len(labels), self._elems, codes, comp)
 
     def _key_order(self, s):
@@ -451,34 +466,29 @@ class PowersetLattice(Lattice):
 
 
 def _code_tables(up, down):
-    """Birkhoff codes of an order given as closed bitmask rows, with its
-    meet and join tables, or None when the order is not a distributive
-    lattice.  An element's code is its row ``down[i]`` restricted to the
-    join-irreducible indices; an element is join-irreducible when the
-    elements strictly below it have a greatest one, whose row is exactly
-    theirs.  The codes are a proof when they are distinct, every ``ci & cj``
-    and ``ci | cj`` is a code, and ``i <= j`` holds exactly when
-    ``ci & cj == ci``: the order is then isomorphic to a family of sets
-    closed under intersection and union, so it is antisymmetric, a lattice
-    and distributive, meet is ``&`` and join is ``|``.  By Birkhoff's
-    theorem every finite distributive lattice passes.  O(n^2)."""
+    """Birkhoff codes of an order given as closed bitmask rows, or None when
+    the order is not a distributive lattice.  An element's code is its row
+    ``down[i]`` restricted to the join-irreducible indices; an element is
+    join-irreducible when the elements strictly below it have a greatest
+    one, whose row is exactly theirs.  The codes are a proof when they are
+    distinct, every ``ci & cj`` and ``ci | cj`` is a code, and ``i <= j``
+    holds exactly when ``ci & cj == ci``: the order is then isomorphic to a
+    family of sets closed under intersection and union, so it is
+    antisymmetric, a lattice and distributive, meet is ``&`` and join is
+    ``|``.  By Birkhoff's theorem every finite distributive lattice passes.
+    O(n^2)."""
     rows = set(down)
     irreducible = sum(1 << i for i, row in enumerate(down) if row & ~(1 << i) in rows)
     codes = [row & irreducible for row in down]
-    index = {c: i for i, c in enumerate(codes)}
-    if len(index) != len(codes):
+    known = set(codes)
+    if len(known) != len(codes):
         return None
-    meet, join = [], []
     for ci, above in zip(codes, up):
         if sum(1 << j for j, cj in enumerate(codes) if ci & cj == ci) != above:
             return None
-        mrow = [index.get(ci & cj) for cj in codes]
-        jrow = [index.get(ci | cj) for cj in codes]
-        if None in mrow or None in jrow:
+        if any(ci & cj not in known or ci | cj not in known for cj in codes):
             return None
-        meet.append(mrow)
-        join.append(jrow)
-    return codes, meet, join
+    return codes
 
 
 def _bound_table(down, up):
@@ -503,22 +513,72 @@ def _bound_table(down, up):
     return table
 
 
+def _order_failure(names, up, down):
+    """The first failure of antisymmetry, then of meet and join existence,
+    then of distributivity on every triple, of an order given as closed
+    bitmask rows, or None.  The one cubic code: only an order that
+    ``_code_tables`` rejects is scanned, so some stage fails."""
+    els = range(len(names))
+    for x in els:
+        equal = up[x] & down[x] & ~(1 << x)
+        if equal:
+            y = (equal & -equal).bit_length() - 1
+            return f"order not antisymmetric at {names[x]}, {names[y]}"
+    meet, join = _bound_table(down, up), _bound_table(up, down)
+    for x in els:
+        for y in els:
+            if meet[x][y] is None:
+                return f"no meet of {names[x]} and {names[y]}"
+            if join[x][y] is None:
+                return f"no join of {names[x]} and {names[y]}"
+
+    for x in els:
+        mx = meet[x]
+        for y in els:
+            mxy = mx[y]
+            jy = join[y]
+            for z in els:
+                if mx[jy[z]] != join[mxy][mx[z]]:
+                    return f"distributivity fails at {names[x]}, {names[y]}, {names[z]}"
+    return None
+
+
+def _complement_failure(names, codes, comp):
+    """The first failure of the complement ``comp`` (element index to
+    index) of an order with Birkhoff ``codes``: involution, then per pair
+    order reversal and both De Morgan laws; or None.  On codes ``x <= y``
+    is ``cx & cy == cx``, meet is ``&`` and join is ``|``.  O(n^2)."""
+    image = {c: codes[k] for c, k in zip(codes, comp)}
+    for x, cx in zip(names, codes):
+        if image[image[cx]] != cx:
+            return f"complement not an involution at {x}"
+    for x, cx in zip(names, codes):
+        nx = image[cx]
+        for y, cy in zip(names, codes):
+            ny = image[cy]
+            if cx & cy == cx and ny & nx != ny:
+                return f"complement not order-reversing at {x}, {y}"
+            if image[cx | cy] != nx & ny:
+                return f"De Morgan law (join) fails at {x}, {y}"
+            if image[cx & cy] != nx | ny:
+                return f"De Morgan law (meet) fails at {x}, {y}"
+    return None
+
+
 class CustomLattice(Lattice):
     """Finite lattice from an explicit order relation and complement table.
 
-    The order is kept only as bitmask rows, ``_up[i]`` holding every
-    ``k >= i`` and ``_down[i]`` every ``k <= i``, closed reflexively and
-    transitively at construction.  Construction then derives the Birkhoff
+    The order is closed reflexively and transitively into bitmask rows,
+    ``_up[i]`` holding every ``k >= i``.  Construction derives the Birkhoff
     codes and proves from them in O(n^2) that the order is a distributive
-    lattice (``_code_tables``); the meet and join tables are then ``&`` and
-    ``|`` on codes, and the codes are the engine's ``Codec``.  Only an order
-    that fails the proof pays the cubic ``_bound_table`` scans, whose
-    entries are the common lower (upper) bound above (below) every other
-    one or None; it has no codes, and ``codec`` raises.  Either way meets
-    and joins cost O(1), the order is a preorder and every entry is a
-    greatest lower or least upper bound.  The complement, and for an order
-    that fails the proof the axiom it breaks, are the business of
-    validate().
+    lattice (``_code_tables``); the codes are then the ``Codec`` that the
+    base class's operators, the engine and ``valuation.diff`` run on.  It
+    then checks the complement on the codes (``_complement_failure``).  A
+    declaration that fails either check raises ``InvalidLatticeError``
+    naming the first offender; only an order that fails the proof pays the
+    cubic scan that finds it (``_order_failure``).  An empty, duplicate or
+    unknown name and a missing complement entry raise a plain
+    ``LatticeError``.
     """
 
     kind = "custom"
@@ -530,42 +590,36 @@ class CustomLattice(Lattice):
         if len(set(names)) != len(names):
             raise LatticeError("duplicate element names")
         self.names = names
-        self._index = {n: i for i, n in enumerate(names)}
+        self._index = index = {n: i for i, n in enumerate(names)}
         n = len(names)
         up = [1 << i for i in range(n)]
         for a, b in order_pairs:
-            if a not in self._index or b not in self._index:
+            if a not in index or b not in index:
                 raise LatticeError(f"order pair ({a!r}, {b!r}) uses unknown elements")
-            up[self._index[a]] |= 1 << self._index[b]
+            up[index[a]] |= 1 << index[b]
         for k in range(n):
             for i in range(n):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-        down = [sum(1 << k for k in range(n) if up[k] >> i & 1) for i in range(n)]
-        self._up, self._down = up, down
-        self._elems = tuple(Elem(self, i) for i in range(n))
-        full = (1 << n) - 1
-        bots = [i for i in range(n) if up[i] == full]
-        tops = [i for i in range(n) if down[i] == full]
-        self._bot = self._elems[bots[0]] if len(bots) == 1 else None
-        self._top = self._elems[tops[0]] if len(tops) == 1 else None
         comp = {}
         for a, b in complement_table.items():
-            if a not in self._index or b not in self._index:
+            if a not in index or b not in index:
                 raise LatticeError(f"complement entry ({a!r}, {b!r}) uses unknown elements")
-            comp[self._index[a]] = self._index[b]
+            comp[index[a]] = index[b]
         if len(comp) != n:
             missing = [names[i] for i in range(n) if i not in comp]
             raise LatticeError(f"complement table misses {missing}")
-        self._comp = comp
-        proof = _code_tables(up, down)
-        if proof is None:
-            self._meet = _bound_table(down, up)
-            self._join = _bound_table(up, down)
-            self._codec = None
-        else:
-            codes, self._meet, self._join = proof
-            self._codec = Codec(n, self._elems, codes, [codes[comp[i]] for i in range(n)], codes)
+        down = [sum(1 << k for k in range(n) if up[k] >> i & 1) for i in range(n)]
+        codes = _code_tables(up, down)
+        if codes is None:
+            raise InvalidLatticeError(_order_failure(names, up, down))
+        comp = [comp[i] for i in range(n)]
+        failure = _complement_failure(names, codes, comp)
+        if failure is not None:
+            raise InvalidLatticeError(failure)
+        self._up = up
+        self._elems = tuple(Elem(self, i) for i in range(n))
+        self._codec = Codec(n, self._elems, codes, [codes[k] for k in comp], codes)
 
     def element(self, name: str) -> Elem:
         try:
@@ -575,38 +629,6 @@ class CustomLattice(Lattice):
 
     def elements(self):
         return self._elems
-
-    def leq(self, x, y):
-        return self._up[x.key] >> y.key & 1 == 1
-
-    def meet(self, x, y):
-        m = self._meet[x.key][y.key]
-        if m is None:
-            raise LatticeError(
-                f"no meet of {self.format_element(x)} and {self.format_element(y)}")
-        return self._elems[m]
-
-    def join(self, x, y):
-        m = self._join[x.key][y.key]
-        if m is None:
-            raise LatticeError(
-                f"no join of {self.format_element(x)} and {self.format_element(y)}")
-        return self._elems[m]
-
-    def complement(self, x):
-        return self._elems[self._comp[x.key]]
-
-    @property
-    def bot(self):
-        if self._bot is None:
-            raise LatticeError("order has no least element")
-        return self._bot
-
-    @property
-    def top(self):
-        if self._top is None:
-            raise LatticeError("order has no greatest element")
-        return self._top
 
     def cover_pairs(self):
         """Transitive reduction of the order, for canonical serialization:
@@ -630,7 +652,7 @@ class CustomLattice(Lattice):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a lattice axiom scan; failures name the first offender."""
+    """Outcome of a lattice axiom check; failures name the first offender."""
 
     ok: bool
     failures: tuple[str, ...] = ()
@@ -639,111 +661,16 @@ class ValidationReport:
         return self.ok
 
 
-def _fail(msg):
-    return ValidationReport(False, (msg,))
-
-
 def validate(lat: Lattice) -> ValidationReport:
-    """Prove the lattice axioms at the cost of what the declaration supplies.
+    """The axiom report of a handle, which is always ok.
 
-    Every kind must be a bounded distributive lattice whose complement is an
-    order-reversing involution subject to both De Morgan laws.
-
-    - Chains are valid as built: level chains (and ``two``), whose level
-      ``r`` has code ``(1 << r) - 1`` and whose complement reverses the
-      levels, and the unit chain, the exact rationals in [0, 1] under
-      ``<=`` with complement ``1 - x``.  A total order is distributive, and
-      an order-reversing involution of it satisfies both De Morgan laws.
-    - Powersets are a Boolean lattice under inclusion, and set difference is
-      its complement, so the default complement is valid as built.  An
-      explicit complement table gets two checks, on the complement codes: it
-      is an involution, and it reverses every cover ``S < S | {l}``.  By
-      transitivity it then reverses the whole order; an order-reversing
-      involution is a dual automorphism, so both De Morgan laws follow.
-      That is ``n * 2**n`` checks in place of a cubic scan.
-    - Custom lattices are checked on their order rows and int tables for
-      what construction leaves open.  Reflexivity, transitivity and the
-      extremality of each table entry hold as built.  An order whose
-      Birkhoff codes passed the O(n^2) proof at construction is a
-      distributive lattice (hence bounded), so only the complement axioms
-      are checked: involution, then per pair order reversal and both De
-      Morgan laws, O(n^2) in all.  Any other order is scanned for
-      antisymmetry, then existence of every binary meet and join, then
-      distributivity on every triple, the one cubic loop, and one of them
-      fails.
-
-    Failures name the first offender found.
+    Every kind is a bounded distributive lattice whose complement is an
+    order-reversing involution subject to both De Morgan laws, and every
+    handle holds it by construction: chains and default powersets are valid
+    as built, and ``PowersetLattice`` with a complement table and
+    ``CustomLattice`` raise ``InvalidLatticeError`` on a declaration that
+    breaks an axiom.
     """
-    if isinstance(lat, (LevelChain, UnitChain)):
-        return ValidationReport(True)
-    if isinstance(lat, PowersetLattice):
-        return _validate_powerset(lat)
-    return _validate_custom(lat)
-
-
-def _validate_powerset(lat: PowersetLattice) -> ValidationReport:
-    if not lat.has_custom_complement:
-        return ValidationReport(True)
-    c, fmt = lat.codec(), lat.format_element
-    comp, codes = c.complement, [c.encode(x) for x in lat.elements()]
-    for x, cx in zip(lat.elements(), codes):
-        if comp(comp(cx)) != cx:
-            return _fail(f"complement not an involution at {fmt(x)}")
-    for x, cx in zip(lat.elements(), codes):
-        for i in range(len(lat.labels)):
-            t = cx | 1 << i
-            if t != cx and comp(t) & ~comp(cx):
-                return _fail(f"complement not order-reversing at {fmt(x)}, {fmt(c.decode(t))}")
-    return ValidationReport(True)
-
-
-def _order_failure(lat: CustomLattice):
-    """The first failure of antisymmetry, then of meet and join existence,
-    then of distributivity on every triple, or None.  Only an order that
-    failed the code proof at construction is scanned, so some stage fails."""
-    up, meet, join, names = lat._up, lat._meet, lat._join, lat.names
-    els = range(len(names))
-    for x in els:
-        equal = up[x] & lat._down[x] & ~(1 << x)
-        if equal:
-            y = (equal & -equal).bit_length() - 1
-            return f"order not antisymmetric at {names[x]}, {names[y]}"
-    for x in els:
-        for y in els:
-            if meet[x][y] is None:
-                return f"no meet of {names[x]} and {names[y]}"
-            if join[x][y] is None:
-                return f"no join of {names[x]} and {names[y]}"
-
-    for x in els:
-        mx = meet[x]
-        for y in els:
-            mxy = mx[y]
-            jy = join[y]
-            for z in els:
-                if mx[jy[z]] != join[mxy][mx[z]]:
-                    return f"distributivity fails at {names[x]}, {names[y]}, {names[z]}"
-    return None
-
-
-def _validate_custom(lat: CustomLattice) -> ValidationReport:
-    if lat._codec is None:
-        failure = _order_failure(lat)
-        if failure is not None:
-            return _fail(failure)
-    up, meet, join, comp, names = lat._up, lat._meet, lat._join, lat._comp, lat.names
-    els = range(len(names))
-    for x in els:
-        if comp[comp[x]] != x:
-            return _fail(f"complement not an involution at {names[x]}")
-    for x in els:
-        for y in els:
-            if up[x] >> y & 1 and not up[comp[y]] >> comp[x] & 1:
-                return _fail(f"complement not order-reversing at {names[x]}, {names[y]}")
-            if comp[join[x][y]] != meet[comp[x]][comp[y]]:
-                return _fail(f"De Morgan law (join) fails at {names[x]}, {names[y]}")
-            if comp[meet[x][y]] != join[comp[x]][comp[y]]:
-                return _fail(f"De Morgan law (meet) fails at {names[x]}, {names[y]}")
     return ValidationReport(True)
 
 
@@ -776,16 +703,24 @@ class PairValue:
     def __hash__(self):
         return hash((self.pos.key, self.neg.key))
 
+    def _check(self, other):
+        if not isinstance(other, PairValue):
+            raise TypeError(f"expected a pair value, got {type(other).__name__}")
+
     def __le__(self, other):
+        self._check(other)
         return self.pos <= other.pos and self.neg <= other.neg
 
     def __ge__(self, other):
+        self._check(other)
         return other.__le__(self)
 
     def __and__(self, other):
+        self._check(other)
         return PairValue(self.pos & other.pos, self.neg & other.neg)
 
     def __or__(self, other):
+        self._check(other)
         return PairValue(self.pos | other.pos, self.neg | other.neg)
 
     def __neg__(self):

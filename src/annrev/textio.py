@@ -45,6 +45,7 @@ from json.encoder import encode_basestring_ascii
 from .isomorphism import PairIso, PairMap
 from .lattice import (
     CustomLattice,
+    InvalidLatticeError,
     Lattice,
     LatticeError,
     LevelChain,
@@ -52,7 +53,6 @@ from .lattice import (
     PowersetLattice,
     TwoLattice,
     UnitChain,
-    validate,
 )
 from .syntax import (
     NEW,
@@ -266,7 +266,10 @@ def _parse_set_table(p):
     return table
 
 
-def _parse_lattice(p):
+def _parse_lattice(p, decl_at):
+    """The lattice after the ``lattice`` keyword at token ``decl_at``.  An
+    axiom failure is reported there; any other construction error at the
+    kind token."""
     at = p.i
     t = p.expect_ident("a lattice kind")
     if t == "two":
@@ -277,11 +280,8 @@ def _parse_lattice(p):
         if p.at_ident("complement"):
             p.advance()
             table = _parse_set_table(p)
-        try:
-            return PowersetLattice(labels, table)
-        except LatticeError as e:
-            p.sem_error(str(e), at)
-    if t == "chain":
+        make, args = PowersetLattice, (labels, table)
+    elif t == "chain":
         if p.at_ident("unit"):
             p.advance()
             return UnitChain()
@@ -291,11 +291,8 @@ def _parse_lattice(p):
             p.advance()
             names.append(p.expect_ident("a level name"))
         p.expect_sym("]")
-        try:
-            return LevelChain(names)
-        except LatticeError as e:
-            p.sem_error(str(e), at)
-    if t == "custom":
+        make, args = LevelChain, (names,)
+    elif t == "custom":
         p.expect_sym("{")
         if p.expect_ident("'elements'") != "elements":
             p.sem_error("custom lattice starts with an elements block", p.i - 1)
@@ -322,11 +319,15 @@ def _parse_lattice(p):
             comp[a] = b
         _braced(p, comp_entry)
         p.expect_sym("}")
-        try:
-            return CustomLattice(names, pairs, comp)
-        except LatticeError as e:
-            p.sem_error(str(e), at)
-    p.syntax_error(f"unknown lattice kind {t!r}", at)
+        make, args = CustomLattice, (names, pairs, comp)
+    else:
+        p.syntax_error(f"unknown lattice kind {t!r}", at)
+    try:
+        return make(*args)
+    except InvalidLatticeError as e:
+        p.sem_error(f"invalid lattice: {e}", decl_at)
+    except LatticeError as e:
+        p.sem_error(str(e), at)
 
 
 def _read_set_element(p, lattice):
@@ -603,10 +604,7 @@ def parse(text: str) -> Document:
             if lattice is not None:
                 p.sem_error("duplicate lattice declaration")
             p.advance()
-            lattice = _parse_lattice(p)
-            report = validate(lattice)
-            if not report.ok:
-                p.sem_error(f"invalid lattice: {report.failures[0]}", at)
+            lattice = _parse_lattice(p, at)
         elif name == "syntax":
             if syntax is not None:
                 p.sem_error("duplicate syntax declaration")

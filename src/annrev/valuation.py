@@ -246,8 +246,7 @@ def diff(R: PairValuation, B: PairValuation) -> PairValuation:
     ``c``, so its least fixpoint, iterated from the bottom pair, lies below
     every solution: it is the least solution when it solves the equation,
     and there is none when it does not.  Like the engine, it runs on pair
-    codes, from one codec per call over the values of ``R`` and ``B``; an
-    order with no codes raises ``LatticeError``.
+    codes, from one codec per call over the values of ``R`` and ``B``.
     """
     if R.lattice is not B.lattice:
         raise LatticeMismatchError("valuations over different lattices")

@@ -1,9 +1,10 @@
 """Shared builders for the test suite: the lattices the fixtures live on,
 random program/valuation generators, enumeration shortcuts, the
 brute-force enumeration oracle with its literal justification check, the
-exhaustive lattice-axiom, bound-table and pair-order oracles, and the
-character-by-character lexer and full pair-space difference that the
-library's regex lexer and least-change fixpoint are compared against."""
+exhaustive lattice-axiom oracle on declarations, the bound-table and
+pair-order oracles, and the character-by-character lexer and full
+pair-space difference that the library's regex lexer and least-change
+fixpoint are compared against."""
 
 import random
 from fractions import Fraction
@@ -419,82 +420,134 @@ def grow_to_model(p, B):
     return cur
 
 
-def axiom_scan(lat):
-    """Exhaustive axiom check of a finite lattice through ``Elem`` operators:
-    partial order, existence of all binary meets and joins plus bottom and
-    top, distributivity on every triple, the complement being an
-    order-reversing involution subject to both De Morgan laws, and, for
-    level chains, totality.  Cubic in the number of elements; the reference
-    that ``validate`` is compared against.  The report names the first
-    offender in element order."""
+def decl_order(decl):
+    """The relation of a lattice declaration ``(names, order_pairs,
+    complement)`` as a boolean matrix over the names' indices, closed
+    reflexively and transitively by a plain Warshall loop."""
+    names, order, _ = decl
+    index = {x: i for i, x in enumerate(names)}
+    size = range(len(names))
+    leq = [[i == j for j in size] for i in size]
+    for a, b in order:
+        leq[index[a]][index[b]] = True
+    for k in size:
+        for i in size:
+            if leq[i][k]:
+                for j in size:
+                    if leq[k][j]:
+                        leq[i][j] = True
+    return leq
+
+
+def decl_rows(decl):
+    """``(up, down)`` bitmask rows of a declaration's closed relation, as
+    ``lattice._code_tables`` and ``lattice._bound_table`` take them:
+    ``up[i]`` holds every ``k >= i`` and ``down[i]`` every ``k <= i``."""
+    leq = decl_order(decl)
+    size = range(len(leq))
+    up = [sum(1 << k for k in size if leq[i][k]) for i in size]
+    down = [sum(1 << k for k in size if leq[k][i]) for i in size]
+    return up, down
+
+
+def handle_decl(lat):
+    """The declaration of a finite handle: its elements' texts, every
+    strict pair of its order and its complement."""
+    els = lat.elements()
+    return ([repr(x) for x in els],
+            [(repr(x), repr(y)) for x in els for y in els if x < y],
+            {repr(x): repr(~x) for x in els})
+
+
+def powerset_decl(labels, table):
+    """The declaration of the powerset of ``labels`` under inclusion with
+    the complement ``table``, its subsets in the handle's canonical order
+    and written as the handle writes them."""
+    subsets = [frozenset()]
+    for l in labels:
+        subsets += [s | {l} for s in subsets]
+    subsets.sort(key=lambda s: sorted(labels.index(l) for l in s))
+
+    def fmt(s):
+        return "{" + ",".join(l for l in labels if l in s) + "}"
+    return ([fmt(s) for s in subsets],
+            [(fmt(s), fmt(t)) for s in subsets for t in subsets if s < t],
+            {fmt(s): fmt(table[s]) for s in subsets})
+
+
+def axiom_scan(decl, total=False):
+    """Exhaustive axiom check of a lattice declaration ``(names,
+    order_pairs, complement)``, without building a handle: the relation
+    closed by ``decl_order``, meets and joins found by ``bound_oracle``.
+    Checks partial order, existence of all binary meets and joins plus
+    bottom and top, distributivity on every triple, the complement being an
+    order-reversing involution subject to both De Morgan laws, and, when
+    ``total``, totality.  Cubic in the number of elements; the reference
+    that the lattice constructors are compared against.  The report names
+    the first offender in element order."""
     def fail(msg):
         return ValidationReport(False, (msg,))
 
-    els = lat.elements()
+    names, _, complement = decl
+    leq = decl_order(decl)
+    els = range(len(names))
+    index = {x: i for i, x in enumerate(names)}
+    comp = [index[complement[x]] for x in names]
     for x in els:
-        if not lat.leq(x, x):
-            return fail(f"order not reflexive at {x!r}")
+        if not leq[x][x]:
+            return fail(f"order not reflexive at {names[x]}")
     for x in els:
         for y in els:
-            if lat.leq(x, y) and lat.leq(y, x) and x.key != y.key:
-                return fail(f"order not antisymmetric at {x!r}, {y!r}")
+            if leq[x][y] and leq[y][x] and x != y:
+                return fail(f"order not antisymmetric at {names[x]}, {names[y]}")
             for z in els:
-                if lat.leq(x, y) and lat.leq(y, z) and not lat.leq(x, z):
-                    return fail(f"order not transitive at {x!r}, {y!r}, {z!r}")
+                if leq[x][y] and leq[y][z] and not leq[x][z]:
+                    return fail(f"order not transitive at {names[x]}, {names[y]}, {names[z]}")
 
+    meet = [[bound_oracle(leq, x, y, True) for y in els] for x in els]
+    join = [[bound_oracle(leq, x, y, False) for y in els] for x in els]
     for x in els:
         for y in els:
-            try:
-                m = x & y
-                j = x | y
-            except LatticeError as exc:
-                return fail(str(exc))
-            if not (m <= x and m <= y):
-                return fail(f"meet of {x!r}, {y!r} is not a lower bound")
-            if any(z <= x and z <= y and not z <= m for z in els):
-                return fail(f"meet of {x!r}, {y!r} is not greatest")
-            if not (x <= j and y <= j):
-                return fail(f"join of {x!r}, {y!r} is not an upper bound")
-            if any(x <= z and y <= z and not j <= z for z in els):
-                return fail(f"join of {x!r}, {y!r} is not least")
-    try:
-        bot, top = lat.bot, lat.top
-    except LatticeError as exc:
-        return fail(str(exc))
-    if any(not bot <= x or not x <= top for x in els):
-        return fail("bottom or top is not a bound")
+            if meet[x][y] is None:
+                return fail(f"no meet of {names[x]} and {names[y]}")
+            if join[x][y] is None:
+                return fail(f"no join of {names[x]} and {names[y]}")
+    if sum(all(leq[b][x] for x in els) for b in els) != 1:
+        return fail("order has no least element")
+    if sum(all(leq[x][t] for x in els) for t in els) != 1:
+        return fail("order has no greatest element")
 
     for x in els:
         for y in els:
             for z in els:
-                if (x & (y | z)) != ((x & y) | (x & z)):
-                    return fail(f"distributivity fails at {x!r}, {y!r}, {z!r}")
+                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
+                    return fail(f"distributivity fails at {names[x]}, {names[y]}, {names[z]}")
 
     for x in els:
-        if ~~x != x:
-            return fail(f"complement not an involution at {x!r}")
+        if comp[comp[x]] != x:
+            return fail(f"complement not an involution at {names[x]}")
     for x in els:
         for y in els:
-            if x <= y and not ~y <= ~x:
-                return fail(f"complement not order-reversing at {x!r}, {y!r}")
-            if ~(x | y) != (~x & ~y):
-                return fail(f"De Morgan law (join) fails at {x!r}, {y!r}")
-            if ~(x & y) != (~x | ~y):
-                return fail(f"De Morgan law (meet) fails at {x!r}, {y!r}")
+            if leq[x][y] and not leq[comp[y]][comp[x]]:
+                return fail(f"complement not order-reversing at {names[x]}, {names[y]}")
+            if comp[join[x][y]] != meet[comp[x]][comp[y]]:
+                return fail(f"De Morgan law (join) fails at {names[x]}, {names[y]}")
+            if comp[meet[x][y]] != join[comp[x]][comp[y]]:
+                return fail(f"De Morgan law (meet) fails at {names[x]}, {names[y]}")
 
-    if isinstance(lat, LevelChain):
+    if total:
         for x in els:
             for y in els:
-                if not (x <= y or y <= x):
-                    return fail(f"chain not totally ordered at {x!r}, {y!r}")
+                if not (leq[x][y] or leq[y][x]):
+                    return fail(f"chain not totally ordered at {names[x]}, {names[y]}")
     return ValidationReport(True)
 
 
 def bound_oracle(leq, i, j, lower):
     """Meet (``lower``) or join of elements ``i`` and ``j`` of the relation
     ``leq``, by testing every common bound against all the others: the
-    reference for ``CustomLattice``'s tables.  None when there is not
-    exactly one best bound."""
+    reference for ``lattice._bound_table`` and ``axiom_scan``.  None when
+    there is not exactly one best bound."""
     if lower:
         cands = [k for k in range(len(leq)) if leq[k][i] and leq[k][j]]
         best = [m for m in cands if all(leq[k][m] for k in cands)]

@@ -37,6 +37,7 @@ from annrev import (
     tr1,
     tr2,
 )
+import classic_oracle
 from helpers import (
     all_valuations,
     chain4,
@@ -127,10 +128,10 @@ def test_criterion_04_fitting_join_sensitivity():
            same_shape and fitting_differs and mpt_same)
 
 
-def classic_revisions(rules, db, universe):
+def classic_revisions(rules, db, universe, semantics=MPT):
     prog, b_i = encode_classic(rules, db, universe)
     out = set()
-    for o in enumerate_revisions(prog, b_i, MPT):
+    for o in enumerate_revisions(prog, b_i, semantics):
         decoded = decode_classic(o.candidate)
         if decoded is not None and o.necessary_change.is_consistent():
             out.add(decoded)
@@ -147,6 +148,36 @@ def test_criterion_05_classic_embedding():
     empty = classic_revisions(rules, set(), universe)
     ok = with_a == {frozenset("ab"), frozenset("ac")} and empty == {frozenset("b")}
     report(5, "classic embedding", ok)
+
+
+def random_classic_program(rng, universe):
+    """1-6 unannotated revision rules over ``universe``, bodies of 0-2
+    revision atoms."""
+    def lit():
+        return (rin if rng.random() < 0.5 else rout)(rng.choice(universe))
+    return [ClassicRule(lit(), tuple(lit() for _ in range(rng.randint(0, 2))))
+            for _ in range(rng.randint(1, 6))]
+
+
+def test_criterion_05b_classic_embedding_matches_set_oracle():
+    # The embedding against Marek and Truszczynski's definition on plain
+    # sets, on 600 random programs of 1-5 atoms under both semantics.
+    mismatches, sizes = [], set()
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        for _ in range(300):
+            universe = tuple("abcde"[:rng.randint(1, 5)])
+            rules = random_classic_program(rng, universe)
+            db = {a for a in universe if rng.random() < 0.5}
+            expected = classic_oracle.justified_revisions(rules, db, universe)
+            sizes.add(min(len(expected), 2))
+            for semantics in (MPT, FITTING):
+                got = classic_revisions(rules, db, universe, semantics)
+                if got != expected:
+                    mismatches.append((seed, rules, db, semantics, got, expected))
+    assert not mismatches, mismatches[:3]
+    # programs with no revision, with one and with several all occur
+    report(5, "classic embedding matches the set oracle", sizes == {0, 1, 2})
 
 
 def test_criterion_06_linearity():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from annrev import PowersetLattice, validate
+from annrev import PowersetLattice, lattice
 from annrev.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -149,8 +149,8 @@ def test_validate_json(capsys):
 
 
 def test_validate_scans_the_lattice_once(capsys, tmp_path, monkeypatch):
-    # parse validates the lattice; the validate command reports that verdict
-    # without a second scan.
+    # The lattice's constructor checks the complement; the validate command
+    # reports that verdict without a second check.
     doc = tmp_path / "custom.arp"
     doc.write_text("lattice custom {\n"
                    "  elements { bot, x, y, top }\n"
@@ -159,14 +159,13 @@ def test_validate_scans_the_lattice_once(capsys, tmp_path, monkeypatch):
                    "}\n"
                    "universe { a }\nprogram { in(a):x <- . }\n")
     calls = []
+    check = lattice._complement_failure
 
-    def counted(lat):
-        calls.append(lat)
-        return validate(lat)
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "annrev" and getattr(module, "validate", None) is validate:
-            monkeypatch.setattr(module, "validate", counted)
+    monkeypatch.setattr(lattice, "_complement_failure", counted)
     assert run(capsys, "validate", doc) == (
         0, "lattice: custom (valid)\nsyntax: old\nuniverse: 1 atoms, program: 1 rules\n", "")
     assert len(calls) == 1

@@ -13,8 +13,7 @@ from annrev import (
     OLD,
     CapExceededError,
     CustomLattice,
-    LatticeError,
-    PairMap,
+    InvalidLatticeError,
     PairValuation,
     PairValue,
     PowersetLattice,
@@ -38,7 +37,6 @@ from annrev import (
     tp_heads,
     tpb,
     tr1,
-    transformable,
 )
 from helpers import (
     all_valuations,
@@ -668,22 +666,14 @@ def test_unit_chain_per_call_codes_agree_with_literal_oracle():
 
 
 def test_engine_rejects_non_distributive_custom_lattice():
-    # parse rejects M3, so it reaches the engine only through the API; the
-    # engine, diff and the pair-map cover check have no codes for it and say
-    # so instead of answering.
-    m3 = CustomLattice(
-        ("bot", "a", "b", "c", "top"),
-        [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"),
-         ("c", "top")],
-        {"bot": "top", "a": "a", "b": "c", "c": "b", "top": "bot"})
-    p = old_program(m3, ("x",), [(("in", "x", "a"), [("out", "x", "b")])])
-    B = PairValuation.bottom(m3, ("x",))
-    for call in (lambda: necessary_change(p), lambda: is_model(p, B),
-                 lambda: is_justified_revision(p, B, B), lambda: enumerate_revisions(p, B),
-                 lambda: diff(B, B), lambda: transformable(B, B),
-                 lambda: PairMap.from_permutation(m3, {e: e for e in m3.elements()})):
-        with pytest.raises(LatticeError, match="not distributive"):
-            call()
+    # M3 cannot be built, through parse or the API, so the engine, diff and
+    # pair maps never meet a lattice without codes.
+    with pytest.raises(InvalidLatticeError, match="^distributivity fails at a, b, c$"):
+        CustomLattice(
+            ("bot", "a", "b", "c", "top"),
+            [("bot", "a"), ("bot", "b"), ("bot", "c"), ("a", "top"), ("b", "top"),
+             ("c", "top")],
+            {"bot": "top", "a": "a", "b": "c", "c": "b", "top": "bot"})
 
 
 def test_trace_reports_source_rule_indices():

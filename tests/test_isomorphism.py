@@ -198,6 +198,30 @@ def test_structural_pairmap_matches_pair_space_check(make):
     assert answers == ({True, False} if make is powerset_pqr_custom else {True})
 
 
+def test_then_composes_checked_maps_without_a_check(monkeypatch):
+    # A composition of automorphisms is one, so ``then`` builds it without
+    # re-running the constructor's bijection and cover check.
+    rng = random.Random(17)
+    lat = PowersetLattice(("p", "q", "r", "s"))
+    m = PairMap.from_permutation(lat, random_label_perm(rng, lat))
+    n = PairMap.from_permutation(lat, random_label_perm(rng, lat), swap=True)
+    swap, identity = PairMap.swap(lat), PairMap.identity(lat)
+    calls = []
+    check = PairMap._validate
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(PairMap, "_validate", counted)
+    pairs = [(m, n), (n, m), (m, m), (swap, m), (m, swap), (identity, n), (swap, identity)]
+    composed = [first.then(second) for first, second in pairs]
+    assert calls == []
+    for (first, second), both in zip(pairs, composed):
+        assert both.lattice is lat
+        assert all(both(v) == second(first(v)) for v in pair_space(lat))
+
+
 def test_pairmap_rejects_non_automorphism_with_witness():
     lat = chain4()
     c = {e.key: e for e in lat.elements()}

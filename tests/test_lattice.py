@@ -1,5 +1,6 @@
 """Lattice axioms, element operations, and the pair lattice."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from annrev import (
     CustomLattice,
+    InvalidLatticeError,
     LatticeError,
     LatticeMismatchError,
     LevelChain,
@@ -27,8 +29,9 @@ from annrev import (
     validate,
 )
 from helpers import (
-    PQR_COMPLEMENT, axiom_scan, bound_oracle, chain4, chain_product, diamond_fixed,
-    label_involution_powerset, powerset_pq, powerset_pqr_custom, product_decl)
+    PQR_COMPLEMENT, axiom_scan, bound_oracle, chain4, chain_product, decl_order, decl_rows,
+    diamond_fixed, handle_decl, label_involution_powerset, powerset_decl, powerset_pq,
+    powerset_pqr_custom, product_decl)
 
 unit = UnitChain()
 
@@ -52,33 +55,28 @@ def test_validate_custom_powerset_complement():
 
 
 def test_validate_rejects_identity_complement_on_diamond():
-    lat = CustomLattice(
-        ("bot", "a", "b", "top"),
-        [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
-        {"bot": "bot", "a": "a", "b": "b", "top": "top"})
-    report = validate(lat)
-    assert not report.ok
-    assert "order-reversing" in report.failures[0]
+    with pytest.raises(InvalidLatticeError, match="order-reversing"):
+        CustomLattice(
+            ("bot", "a", "b", "top"),
+            [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
+            {"bot": "bot", "a": "a", "b": "b", "top": "top"})
 
 
 def test_validate_reports_missing_meet():
     # two incomparable tops: no join of a and b
-    lat = CustomLattice(
-        ("bot", "a", "b"),
-        [("bot", "a"), ("bot", "b")],
-        {"bot": "bot", "a": "b", "b": "a"})
-    report = validate(lat)
-    assert not report.ok
+    with pytest.raises(InvalidLatticeError, match="^no join of a and b$"):
+        CustomLattice(
+            ("bot", "a", "b"),
+            [("bot", "a"), ("bot", "b")],
+            {"bot": "bot", "a": "b", "b": "a"})
 
 
 def test_validate_rejects_non_involution():
-    lat = CustomLattice(
-        ("bot", "top"),
-        [("bot", "top")],
-        {"bot": "bot", "top": "bot"})
-    report = validate(lat)
-    assert not report.ok
-    assert "involution" in report.failures[0]
+    with pytest.raises(InvalidLatticeError, match="involution"):
+        CustomLattice(
+            ("bot", "top"),
+            [("bot", "top")],
+            {"bot": "bot", "top": "bot"})
 
 
 def test_validate_unit_chain():
@@ -122,9 +120,9 @@ def _random_table(rng, names, comp):
 
 
 def _random_custom(rng):
-    """A custom lattice of 1-7 elements in shuffled element order: a grid of
-    chains, M3 or N5 under a varied complement, or a random relation (cycles
-    included) under a random complement."""
+    """A custom-lattice declaration of 1-7 elements in shuffled element
+    order: a grid of chains, M3 or N5 under a varied complement, or a random
+    relation (cycles included) under a random complement."""
     shape = rng.randrange(4)
     if shape == 0:
         n = rng.randint(1, 7)
@@ -142,18 +140,34 @@ def _random_custom(rng):
         comp = _random_table(rng, names, comp)
     names = list(names)
     rng.shuffle(names)
-    return CustomLattice(names, order, comp)
+    return names, order, comp
+
+
+def _build_as_scanned(decl):
+    """``(handle, report)``: the handle of ``decl`` when ``axiom_scan``
+    passes it; otherwise None, after asserting that the constructor raises
+    ``InvalidLatticeError`` with the scan's first failure."""
+    report = axiom_scan(decl)
+    if report.ok:
+        return CustomLattice(*decl), report
+    with pytest.raises(InvalidLatticeError) as exc:
+        CustomLattice(*decl)
+    assert str(exc.value) == report.failures[0]
+    return None, report
+
+
+def _distributive(report):
+    """Whether ``axiom_scan``'s report gets past distributivity."""
+    return report.ok or report.failures[0].startswith(("complement", "De Morgan"))
 
 
 def test_validate_matches_axiom_scan_on_random_custom_lattices():
     rng = random.Random(20)
     kinds = set()
     for _ in range(600):
-        lat = _random_custom(rng)
-        report = validate(lat)
-        expected = axiom_scan(lat)
-        assert (report.ok, report.failures) == (expected.ok, expected.failures)
-        kinds.add(expected.failures[0].split(" at ")[0] if expected.failures else "ok")
+        lat, report = _build_as_scanned(_random_custom(rng))
+        assert (lat is None) == (not report.ok)
+        kinds.add(report.failures[0].split(" at ")[0] if report.failures else "ok")
     # the generator reaches the valid case and failures of every stage
     assert {"ok", "order not antisymmetric", "distributivity fails",
             "complement not an involution", "complement not order-reversing"} <= kinds
@@ -177,71 +191,131 @@ def test_validate_matches_axiom_scan_on_large_grids():
             swapped[a], swapped[b] = comp[b], comp[a]
             for table in (comp, swapped):
                 rng.shuffle(names)
-                lat = CustomLattice(names, order, table)
-                report = validate(lat)
-                assert report == axiom_scan(lat)
+                _, report = _build_as_scanned((names, order, table))
                 assert report.ok == (table is comp)
     assert grids == 30
-    for lat, ok in zip(_grids_7x7(), (True, False)):
-        report = validate(lat)
-        assert report == axiom_scan(lat)
+    for decl, ok in zip(_grids_7x7(), (True, False)):
+        _, report = _build_as_scanned(decl)
         assert report.ok == ok
 
 
+@st.composite
+def _declarations(draw):
+    """A custom-lattice declaration in drawn element order: a grid of
+    chains of up to 7 elements, M3, N5 or a relation on 1-5 elements, under
+    its own complement (the identity for a relation), that with two images
+    exchanged, a random map or a random involution."""
+    shape = draw(st.sampled_from(("grid", "M3", "N5", "relation")))
+    if shape == "grid":
+        m = draw(st.integers(1, 3))
+        names, order, comp = product_decl(m, draw(st.integers(1, 7 // m)))
+    elif shape == "relation":
+        names = [f"e{i}" for i in range(draw(st.integers(1, 5)))]
+        pairs = [(a, b) for a in names for b in names if a != b]
+        order = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        comp = {a: a for a in names}
+    else:
+        names, order, comp = _M3 if shape == "M3" else _N5
+    table = draw(st.sampled_from(("own", "exchanged", "map", "involution")))
+    if table == "exchanged" and len(names) > 1:
+        a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        comp = {**comp, a: comp[b], b: comp[a]}
+    elif table == "map":
+        comp = {a: draw(st.sampled_from(names)) for a in names}
+    elif table == "involution":
+        rest, comp = list(draw(st.permutations(names))), {}
+        while rest:
+            a = rest.pop()
+            b = rest.pop() if rest and draw(st.booleans()) else a
+            comp[a], comp[b] = b, a
+    return list(draw(st.permutations(names))), order, comp
+
+
+@given(_declarations())
+def test_declarations_build_or_fail_as_scanned(decl):
+    # A declaration either raises InvalidLatticeError with the axiom scan's
+    # first failure, or builds a handle whose operators are the declared
+    # relation's order, meets, joins and complement on every pair.
+    lat, _ = _build_as_scanned(decl)
+    if lat is None:
+        return
+    names, _, comp = decl
+    leq = decl_order(decl)
+    els = [lat.element(x) for x in names]
+    for i, x in enumerate(els):
+        assert ~x == lat.element(comp[names[i]])
+        for j, y in enumerate(els):
+            assert (x <= y) == leq[i][j]
+            assert x & y == els[bound_oracle(leq, i, j, True)]
+            assert x | y == els[bound_oracle(leq, i, j, False)]
+
+
 def _grids_7x7():
-    """The 49-element grid of chains, past the sizes the load benchmark
-    declares, under the reversing complement and with two of its entries
-    exchanged, each in shuffled element order."""
+    """Declarations of the 49-element grid of chains, past the sizes the
+    load benchmark declares, under the reversing complement and with two of
+    its entries exchanged, each in shuffled element order."""
     rng = random.Random(23)
     names, order, comp = product_decl(7, 7)
     a, b = rng.sample(names, 2)
     swapped = dict(comp)
     swapped[a], swapped[b] = comp[b], comp[a]
-    lats = []
+    decls = []
     for table in (comp, swapped):
         rng.shuffle(names)
-        lats.append(CustomLattice(names, order, table))
-    return lats
+        decls.append((tuple(names), order, table))
+    return decls
 
 
-def _oracle_lattices():
-    """600 random custom lattices and every grid of chains up to 25
-    elements, in shuffled element order."""
+def _oracle_decls():
+    """600 random custom-lattice declarations and every grid of chains up
+    to 25 elements, in shuffled element order."""
     rng = random.Random(21)
-    lats = [_random_custom(rng) for _ in range(600)]
+    decls = [_random_custom(rng) for _ in range(600)]
     for m in range(1, 6):
         for n in range(m, 25 // m + 1):
             names, order, comp = product_decl(m, n)
             rng.shuffle(names)
-            lats.append(CustomLattice(names, order, comp))
-    return lats
+            decls.append((names, order, comp))
+    return decls
 
 
 def test_custom_tables_match_bound_oracle():
-    lats = _oracle_lattices()
-    assert max(len(lat.names) for lat in lats) == 25
-    assert any(None in row for lat in lats for row in lat._meet + lat._join)
-    for lat in lats + _grids_7x7():
-        els = lat.elements()
-        leq = [[lat.leq(x, y) for y in els] for x in els]
-        size = range(len(els))
-        assert lat._meet == [[bound_oracle(leq, i, j, True) for j in size] for i in size]
-        assert lat._join == [[bound_oracle(leq, i, j, False) for j in size] for i in size]
+    decls = _oracle_decls()
+    assert max(len(names) for names, _, _ in decls) == 25
+    nones = 0
+    for decl in decls + _grids_7x7():
+        up, down = decl_rows(decl)
+        leq = decl_order(decl)
+        size = range(len(leq))
+        meet, join = lattice._bound_table(down, up), lattice._bound_table(up, down)
+        assert meet == [[bound_oracle(leq, i, j, True) for j in size] for i in size]
+        assert join == [[bound_oracle(leq, i, j, False) for j in size] for i in size]
+        nones += any(None in row for row in meet + join)
+    assert nones > 0
+
+
+def _built_lattices():
+    """The handles of the declarations of ``_oracle_decls`` that build."""
+    lats = []
+    for decl in _oracle_decls():
+        try:
+            lats.append(CustomLattice(*decl))
+        except InvalidLatticeError:
+            pass
+    return lats
 
 
 def test_cover_pairs_match_transitive_reduction():
-    # The definition: x < y with no third element between them.  On a
-    # relation with cycles "<" means "<= and distinct".
-    cyclic = 0
-    for lat in _oracle_lattices():
+    # The definition: x < y with no third element between them.
+    lats = _built_lattices()
+    assert len(lats) > 100
+    for lat in lats:
         els = lat.elements()
         expected = tuple(
             (repr(x), repr(y)) for x in els for y in els
             if x != y and x <= y
             and not any(z != x and z != y and x <= z <= y for z in els))
         assert lat.cover_pairs() == expected
-        cyclic += any(x != y and x <= y <= x for x in els for y in els)
-    assert cyclic > 0
 
 
 # --- integer codes ------------------------------------------------------------
@@ -353,63 +427,61 @@ def test_operators_match_key_reference(name):
 
 @pytest.mark.parametrize("decl", [_M3, _N5], ids=["M3", "N5"])
 def test_codes_reject_non_distributive_lattices(decl):
-    lat = CustomLattice(*decl)
-    with pytest.raises(LatticeError, match="not distributive"):
-        lat.codec()
-    with pytest.raises(LatticeError, match="not distributive"):
-        lat.pcomp(lat.element("a"), lat.element("b"))
+    assert lattice._code_tables(*decl_rows(decl)) is None
+    assert axiom_scan(decl).failures[0].startswith("distributivity fails")
+    with pytest.raises(InvalidLatticeError, match="^distributivity fails at "):
+        CustomLattice(*decl)
 
 
 def test_codes_exist_exactly_on_distributive_lattices():
-    # A custom order has codes exactly when the axiom scan gets past
-    # distributivity, and then they are exact on every pair of elements.
-    lats = _oracle_lattices()
+    # A declared order has codes exactly when the axiom scan gets past
+    # distributivity, and on a handle they are exact on every pair of
+    # elements.
+    decls = _oracle_decls()
     coded = 0
-    for lat in lats:
-        report = axiom_scan(lat)
-        distributive = report.ok or report.failures[0].startswith(("complement", "De Morgan"))
-        if not distributive:
-            with pytest.raises(LatticeError):
-                lat.codec()
-            continue
-        coded += 1
-        codec = lat.codec()
-        for x in lat.elements():
-            for y in lat.elements():
-                _check_codes(lat, codec, x, y)
-    assert 0 < coded < len(lats)
+    for decl in decls:
+        report = axiom_scan(decl)
+        codes = lattice._code_tables(*decl_rows(decl))
+        assert (codes is not None) == _distributive(report)
+        coded += codes is not None
+        if report.ok:
+            lat = CustomLattice(*decl)
+            codec = lat.codec()
+            for x in lat.elements():
+                for y in lat.elements():
+                    _check_codes(lat, codec, x, y)
+    assert 0 < coded < len(decls)
 
 
 def _all_relations():
-    """A custom lattice for every relation on 1-4 elements, 4,165 in all,
+    """A declaration for every relation on 1-4 elements, 4,165 in all,
     each under the identity complement."""
     for n in range(1, 5):
         names = [f"e{i}" for i in range(n)]
         pairs = [(a, b) for a in names for b in names if a != b]
         for bits in range(1 << len(pairs)):
             order = [ab for k, ab in enumerate(pairs) if bits >> k & 1]
-            yield CustomLattice(names, order, {a: a for a in names})
+            yield names, order, {a: a for a in names}
 
 
 def test_codes_and_validate_exhaustive_on_small_relations():
-    # The code proof at construction must accept exactly the distributive
-    # lattices: a relation has codes exactly when the axiom scan gets past
-    # distributivity, and validate, which trusts the proof, agrees with the
-    # scan on every relation.
-    count, coded = 0, 0
-    for lat in _all_relations():
+    # The code proof must accept exactly the distributive lattices: a
+    # relation has codes exactly when the axiom scan gets past
+    # distributivity, and the constructor, which trusts the proof, builds
+    # or fails as the scan does on every relation.
+    count, coded, built = 0, 0, 0
+    for decl in _all_relations():
         count += 1
-        expected = axiom_scan(lat)
-        assert validate(lat) == expected
-        distributive = expected.ok or expected.failures[0].startswith(("complement", "De Morgan"))
-        if distributive:
-            coded += 1
+        lat, report = _build_as_scanned(decl)
+        codes = lattice._code_tables(*decl_rows(decl))
+        assert (codes is not None) == _distributive(report)
+        coded += codes is not None
+        if lat is not None:
+            built += 1
+            assert validate(lat).ok
             lat.codec()
-        else:
-            with pytest.raises(LatticeError, match="not distributive"):
-                lat.codec()
     assert count == 4165
-    assert 0 < coded < count
+    assert 0 < built <= coded < count
 
 
 def test_codes_must_reflect_the_order():
@@ -418,32 +490,25 @@ def test_codes_must_reflect_the_order():
     # above cannot see the order check.  Here e's code {a, b} lies inside
     # d's code {a, b, c} but e is not below d: a and b have two minimal
     # upper bounds and no join.
-    lat = CustomLattice(
-        ("bot", "a", "b", "c", "d", "e"),
-        [("bot", "a"), ("bot", "b"), ("a", "d"), ("a", "e"), ("b", "c"), ("b", "e"),
-         ("c", "d")],
-        {x: x for x in ("bot", "a", "b", "c", "d", "e")})
-    with pytest.raises(LatticeError, match="not distributive"):
-        lat.codec()
-    assert validate(lat) == axiom_scan(lat) == ValidationReport(False, ("no join of a and b",))
-
-
-def _redeclare(lat):
-    """The declaration of an antisymmetric custom lattice: names, covers and
-    complement table."""
-    names = lat.names
-    return names, lat.cover_pairs(), {names[i]: names[c] for i, c in lat._comp.items()}
+    decl = (("bot", "a", "b", "c", "d", "e"),
+            [("bot", "a"), ("bot", "b"), ("a", "d"), ("a", "e"), ("b", "c"), ("b", "e"),
+             ("c", "d")],
+            {x: x for x in ("bot", "a", "b", "c", "d", "e")})
+    assert lattice._code_tables(*decl_rows(decl)) is None
+    assert axiom_scan(decl) == ValidationReport(False, ("no join of a and b",))
+    with pytest.raises(InvalidLatticeError, match="^no join of a and b$"):
+        CustomLattice(*decl)
 
 
 def test_distributive_lattices_skip_the_cubic_scans(monkeypatch):
     # Once the codes prove the order a distributive lattice, neither the
-    # bound-table scan nor the order scan runs, at construction or in
-    # validate, and the reports are the axiom scan's.
+    # bound-table scan nor the order scan runs, and the constructor builds
+    # or fails as the axiom scan does.
     decls = []
-    for lat in _oracle_lattices():
-        report = axiom_scan(lat)
-        if report.ok or report.failures[0].startswith(("complement", "De Morgan")):
-            decls.append((_redeclare(lat), report))
+    for decl in _oracle_decls():
+        report = axiom_scan(decl)
+        if _distributive(report):
+            decls.append((decl, report))
     decls.append((product_decl(10, 10), ValidationReport(True)))
 
     def cubic(*args):
@@ -452,8 +517,12 @@ def test_distributive_lattices_skip_the_cubic_scans(monkeypatch):
     monkeypatch.setattr(lattice, "_bound_table", cubic)
     monkeypatch.setattr(lattice, "_order_failure", cubic)
     for decl, report in decls:
-        lat = CustomLattice(*decl)
-        assert validate(lat) == report
+        if report.ok:
+            assert validate(CustomLattice(*decl)) == report
+        else:
+            with pytest.raises(InvalidLatticeError) as exc:
+                CustomLattice(*decl)
+            assert str(exc.value) == report.failures[0]
     assert len(decls) > 100 and any(not report.ok for _, report in decls)
 
 
@@ -479,30 +548,31 @@ def _powerset_tables(rng, labels):
 
 def test_validate_matches_axiom_scan_on_powerset_tables():
     # The involution check reports the same first offender as the scan;
-    # past it, validate names a reversed cover where the scan names its
-    # first failing pair, so there only acceptance and the witness are
+    # past it, the constructor names a reversed cover where the scan names
+    # its first failing pair, so there only acceptance and the witness are
     # compared.
     rng = random.Random(21)
     seen = {True: 0, "involution": 0, "cover": 0}
     for _ in range(150):
         labels = tuple("pqrs"[:rng.randint(2, 4)])
         for table in _powerset_tables(rng, labels):
-            lat = PowersetLattice(labels, table)
-            report = validate(lat)
-            expected = axiom_scan(lat)
-            assert report.ok == expected.ok
+            expected = axiom_scan(powerset_decl(labels, table))
             if expected.ok:
-                assert report.failures == ()
+                PowersetLattice(labels, table)
                 seen[True] += 1
-            elif "involution" in expected.failures[0]:
-                assert report.failures == expected.failures
+                continue
+            with pytest.raises(InvalidLatticeError) as exc:
+                PowersetLattice(labels, table)
+            if "involution" in expected.failures[0]:
+                assert str(exc.value) == expected.failures[0]
                 seen["involution"] += 1
             else:
+                lat = PowersetLattice(labels)
                 covers = [(x, y) for x in lat.elements() for y in lat.elements()
                           if x < y and len(y.key - x.key) == 1]
                 witnesses = [f"complement not order-reversing at {x!r}, {y!r}"
-                             for x, y in covers if not ~y <= ~x]
-                assert len(report.failures) == 1 and report.failures[0] in witnesses
+                             for x, y in covers if not table[y.key] <= table[x.key]]
+                assert str(exc.value) in witnesses
                 seen["cover"] += 1
     assert min(seen.values()) >= 10
 
@@ -511,13 +581,13 @@ def test_validate_matches_axiom_scan_on_powerset_tables():
     lambda n=n: LevelChain(tuple(f"c{i}" for i in range(n))) for n in range(1, 9)])
 def test_validate_chains_valid_as_built(make):
     lat = make()
-    assert validate(lat) == axiom_scan(lat) == ValidationReport(True)
+    assert validate(lat) == axiom_scan(handle_decl(lat), total=True) == ValidationReport(True)
 
 
 def test_validate_default_powersets_valid_as_built():
     for n in range(1, 5):
         lat = PowersetLattice(tuple("pqrs"[:n]))
-        assert validate(lat) == axiom_scan(lat) == ValidationReport(True)
+        assert validate(lat) == axiom_scan(handle_decl(lat)) == ValidationReport(True)
 
 
 # --- core operations --------------------------------------------------------
@@ -762,6 +832,19 @@ def test_cross_lattice_operations_fail():
         PairValue(a, b)
 
 
+def test_pair_operators_reject_non_pairs():
+    # PairValue's comparisons and lattice operators refuse what is not a
+    # pair value with a TypeError, as Elem's refuse what is not an element.
+    lat = powerset_pq()
+    pv = bot_pair(lat)
+    for op in (operator.le, operator.ge, operator.and_, operator.or_):
+        for other in (3, lat.bot, None):
+            with pytest.raises(TypeError):
+                op(pv, other)
+        with pytest.raises(TypeError):
+            op(lat.bot, 3)
+
+
 def test_powerset_rejects_unknown_labels():
     lat = powerset_pq()
     with pytest.raises(LatticeError):
@@ -769,7 +852,10 @@ def test_powerset_rejects_unknown_labels():
 
 
 def test_custom_lattice_tables_total():
-    with pytest.raises(LatticeError):
+    # Input errors are plain LatticeErrors, not axiom failures.
+    with pytest.raises(LatticeError) as exc:
         CustomLattice(("a", "b"), [("a", "b")], {"a": "b"})
-    with pytest.raises(LatticeError):
+    assert type(exc.value) is LatticeError
+    with pytest.raises(LatticeError) as exc:
         CustomLattice(("a", "b"), [("a", "c")], {"a": "b", "b": "a"})
+    assert type(exc.value) is LatticeError
