@@ -23,15 +23,14 @@ class PairMap:
     Build via the classmethods.  Such a map is an order isomorphism of the
     pairs exactly when its permutation is an order automorphism of the
     lattice, since the swap is an automorphism of the product order.
-    Construction checks that on the covers of the lattice's Birkhoff codes:
-    in the lattice of down-sets of join-irreducibles, ``y`` covers ``x``
-    exactly when ``y``'s code is ``x``'s plus one bit, a bijection monotone
-    on covers is monotone, and a monotone bijection of a finite order is an
-    automorphism.  Every finite handle has codes, since its constructor
-    proves it distributive.  Likewise the map commutes with conflation
-    exactly when its permutation commutes with the complement, since the
-    swap always does; that takes ``|L|`` checks.  Infinite lattices admit
-    only identity and swap.
+    Construction checks that on the covers of the lattice's Birkhoff codes
+    (``Codec.covers``), comparing the codes of their images: a bijection
+    monotone on covers is monotone, and a monotone bijection of a finite
+    order is an automorphism.  Every finite handle has codes, since its
+    constructor proves it distributive.  Likewise the map commutes with
+    conflation exactly when its permutation commutes with the complement,
+    since the swap always does; that takes ``|L|`` checks.  Infinite
+    lattices admit only identity and swap.
     """
 
     __slots__ = ("lattice", "_perm", "_swap")
@@ -66,13 +65,12 @@ class PairMap:
         if set(perm) != els or set(perm.values()) != els:
             raise LatticeError("permutation is not a bijection on the lattice")
         codec = lat.codec()
-        by_code = {codec.encode(x): x for x in lat.elements()}
-        for cx, x in by_code.items():
-            for j in range(codec.width):
-                y = by_code.get(cx | 1 << j)
-                if y is not None and y is not x and not lat.leq(perm[x], perm[y]):
-                    raise LatticeError(
-                        f"permutation does not preserve the order at {x!r}, {y!r}")
+        image = {codec.encode(x): codec.encode(y) for x, y in perm.items()}
+        for cx, cy in codec.covers():
+            if image[cx] & ~image[cy]:
+                raise LatticeError(
+                    f"permutation does not preserve the order at "
+                    f"{codec.decode(cx)!r}, {codec.decode(cy)!r}")
 
     def __call__(self, pv: PairValue) -> PairValue:
         pos, neg = pv.pos, pv.neg
@@ -94,6 +92,8 @@ class PairMap:
         compose into another one.  A composition of automorphisms is one, so
         the result is built without the constructor's check.
         """
+        if not isinstance(other, PairMap):
+            raise TypeError(f"cannot compose a pair map with {type(other).__name__}")
         if other.lattice is not self.lattice:
             raise LatticeError("maps over different lattices")
         if self._perm is None:
@@ -120,6 +120,9 @@ class PairIso:
 
     def __init__(self, lattice, maps=None, default=None):
         maps = dict(maps) if maps else {}
+        for m in [*maps.values(), default]:
+            if m is not None and not isinstance(m, PairMap):
+                raise TypeError(f"expected a pair map, got {type(m).__name__}")
         for a, m in maps.items():
             if m.lattice is not lattice:
                 raise LatticeError(f"map for atom {a!r} is over a different lattice")

@@ -48,6 +48,8 @@ class Codec:
     ``width`` bits and the negative side above them: the same operators act
     on pairs componentwise, and conflation is one complement lookup per side.
     Bottom has code 0 and top, whose code holds every other, code ``top``.
+    ``y`` covers ``x`` exactly when ``y``'s code is ``x``'s plus one bit;
+    ``covers`` is the one walk over them.
     """
 
     __slots__ = ("width", "top", "_mask", "_code", "_elem", "_comp", "_down")
@@ -98,6 +100,20 @@ class Codec:
             out |= d
             m &= ~d
         return out
+
+    def covers(self):
+        """Every cover ``(x, y)`` of the order, as codes: ``x`` in element
+        order, then ``y`` in the order of the bit it adds to ``x``.  On
+        powersets and chains that bit order is element order."""
+        elem, top = self._elem, self.top
+        for x in elem:
+            rest = top & ~x
+            while rest:
+                bit = rest & -rest
+                rest -= bit
+                y = x | bit
+                if y in elem:
+                    yield x, y
 
 
 def _chain_codec(elems):
@@ -246,12 +262,12 @@ class Lattice:
         return c._elem[c.pcomp(c._code[alpha.key], c._code[beta.key])]
 
     def is_boolean(self) -> bool:
-        """True when the complement is a Boolean complement.  Infinite
-        lattices answer False; finite ones scan every element, each call."""
+        """True when the complement is a Boolean complement: on codes, every
+        complement code is ``top ^ code``.  Infinite lattices answer False."""
         if not self.is_finite:
             return False
-        bot, top = self.bot, self.top
-        return all((x & ~x) == bot and (x | ~x) == top for x in self.elements())
+        c = self._codec
+        return all(n == c.top ^ x for x, n in c._comp.items())
 
     def format_element(self, x: Elem) -> str:
         raise NotImplementedError
@@ -386,12 +402,10 @@ class PowersetLattice(Lattice):
     of its labels, label ``i`` at bit ``i``; the base class's operators act
     on those codes.  The complement defaults to set difference from the
     full label set, which makes the lattice Boolean.  An explicit table may
-    override it.  Construction then checks, on the complement codes, that
-    the table is an involution and that it reverses every cover ``S < S |
-    {l}``, and raises ``InvalidLatticeError`` at the first failure.  By
-    transitivity the table then reverses the whole order; an
-    order-reversing involution is a dual automorphism, so both De Morgan
-    laws follow.  That is ``n * 2**n`` checks in place of a cubic scan.
+    override it.  Construction then checks it on the codes
+    (``_complement_failure``): an involution that reverses every cover ``S
+    < S | {l}``, ``n * 2**n`` checks in place of a cubic scan, raising
+    ``InvalidLatticeError`` at the first failure.
 
     ``MAX_LABELS`` stays 12 although the checks would allow more:
     only ``pair_space`` scans ``4**n`` pairs, 16.7M at 12 labels.
@@ -411,10 +425,12 @@ class PowersetLattice(Lattice):
         self.labels = labels
         self._label_index = {l: i for i, l in enumerate(labels)}
         full = frozenset(labels)
+        # Canonical order compares the subsets' sorted label indices, so
+        # among subsets of labels i.. the empty set comes first, then those
+        # holding label i, then the rest.
         coded = [(frozenset(), 0)]
-        for i, l in enumerate(labels):
-            coded += [(s | {l}, c | 1 << i) for s, c in coded]
-        coded.sort(key=lambda sc: self._key_order(sc[0]))
+        for i in reversed(range(len(labels))):
+            coded[1:1] = [(s | {labels[i]}, c | 1 << i) for s, c in coded]
         self._elems = tuple(Elem(self, s) for s, _ in coded)
         codes = [c for _, c in coded]
         self.has_custom_complement = complement_table is not None
@@ -431,20 +447,11 @@ class PowersetLattice(Lattice):
                 raise LatticeError("complement table mentions unknown subsets")
             code = dict(coded)
             comp = [code[table[s]] for s, _ in coded]
-            image = dict(zip(codes, comp))
-            for s, c in coded:
-                if image[image[c]] != c:
-                    raise InvalidLatticeError(f"complement not an involution at {self._fmt(s)}")
-            for s, c in coded:
-                for i, l in enumerate(labels):
-                    t = c | 1 << i
-                    if t != c and image[t] & ~image[c]:
-                        raise InvalidLatticeError(
-                            f"complement not order-reversing at {self._fmt(s)}, {self._fmt(s | {l})}")
         self._codec = Codec(len(labels), self._elems, codes, comp)
-
-    def _key_order(self, s):
-        return tuple(sorted(self._label_index[l] for l in s))
+        if self.has_custom_complement:
+            failure = _complement_failure(self._codec)
+            if failure is not None:
+                raise InvalidLatticeError(failure)
 
     def _fmt(self, s):
         return "{" + ",".join(l for l in self.labels if l in s) + "}"
@@ -543,42 +550,36 @@ def _order_failure(names, up, down):
     return None
 
 
-def _complement_failure(names, codes, comp):
-    """The first failure of the complement ``comp`` (element index to
-    index) of an order with Birkhoff ``codes``: involution, then per pair
-    order reversal and both De Morgan laws; or None.  On codes ``x <= y``
-    is ``cx & cy == cx``, meet is ``&`` and join is ``|``.  O(n^2)."""
-    image = {c: codes[k] for c, k in zip(codes, comp)}
-    for x, cx in zip(names, codes):
-        if image[image[cx]] != cx:
-            return f"complement not an involution at {x}"
-    for x, cx in zip(names, codes):
-        nx = image[cx]
-        for y, cy in zip(names, codes):
-            ny = image[cy]
-            if cx & cy == cx and ny & nx != ny:
-                return f"complement not order-reversing at {x}, {y}"
-            if image[cx | cy] != nx & ny:
-                return f"De Morgan law (join) fails at {x}, {y}"
-            if image[cx & cy] != nx | ny:
-                return f"De Morgan law (meet) fails at {x}, {y}"
+def _complement_failure(codec):
+    """The first failure of a codec's complement table, or None: an
+    involution at each element in element order, then order reversal on
+    each cover in ``Codec.covers`` order.  A complement that reverses every
+    cover reverses the whole order, and an order-reversing involution is a
+    dual automorphism, so both De Morgan laws follow.  One check per
+    element and per cover."""
+    comp, elem = codec._comp, codec._elem
+    for cx in elem:
+        if comp[comp[cx]] != cx:
+            return f"complement not an involution at {elem[cx]!r}"
+    for cx, cy in codec.covers():
+        if comp[cy] & ~comp[cx]:
+            return f"complement not order-reversing at {elem[cx]!r}, {elem[cy]!r}"
     return None
 
 
 class CustomLattice(Lattice):
     """Finite lattice from an explicit order relation and complement table.
 
-    The order is closed reflexively and transitively into bitmask rows,
-    ``_up[i]`` holding every ``k >= i``.  Construction derives the Birkhoff
-    codes and proves from them in O(n^2) that the order is a distributive
-    lattice (``_code_tables``); the codes are then the ``Codec`` that the
-    base class's operators, the engine and ``valuation.diff`` run on.  It
-    then checks the complement on the codes (``_complement_failure``).  A
-    declaration that fails either check raises ``InvalidLatticeError``
-    naming the first offender; only an order that fails the proof pays the
-    cubic scan that finds it (``_order_failure``).  An empty, duplicate or
-    unknown name and a missing complement entry raise a plain
-    ``LatticeError``.
+    The order is closed reflexively and transitively into bitmask rows.
+    Construction derives the Birkhoff codes and proves from them in O(n^2)
+    that the order is a distributive lattice (``_code_tables``); the codes
+    are then the ``Codec`` that the base class's operators, the engine and
+    ``valuation.diff`` run on.  It then checks the complement on the codec
+    (``_complement_failure``).  A declaration that fails either check
+    raises ``InvalidLatticeError`` naming the first offender; only an order
+    that fails the proof pays the cubic scan that finds it
+    (``_order_failure``).  An empty, duplicate or unknown name and a
+    missing complement entry raise a plain ``LatticeError``.
     """
 
     kind = "custom"
@@ -613,13 +614,11 @@ class CustomLattice(Lattice):
         codes = _code_tables(up, down)
         if codes is None:
             raise InvalidLatticeError(_order_failure(names, up, down))
-        comp = [comp[i] for i in range(n)]
-        failure = _complement_failure(names, codes, comp)
+        self._elems = tuple(Elem(self, i) for i in range(n))
+        self._codec = Codec(n, self._elems, codes, [codes[comp[i]] for i in range(n)], codes)
+        failure = _complement_failure(self._codec)
         if failure is not None:
             raise InvalidLatticeError(failure)
-        self._up = up
-        self._elems = tuple(Elem(self, i) for i in range(n))
-        self._codec = Codec(n, self._elems, codes, [codes[k] for k in comp], codes)
 
     def element(self, name: str) -> Elem:
         try:
@@ -632,19 +631,10 @@ class CustomLattice(Lattice):
 
     def cover_pairs(self):
         """Transitive reduction of the order, for canonical serialization:
-        the covers of ``i`` are the elements strictly above ``i`` that lie
-        strictly above none of the others.  O(n^2) bit operations."""
-        names, n = self.names, len(self._up)
-        strict = [row & ~(1 << i) for i, row in enumerate(self._up)]
-        out = []
-        for i, above in enumerate(strict):
-            blocked = 0
-            for k in range(n):
-                if above >> k & 1:
-                    blocked |= strict[k]
-            covers = above & ~blocked
-            out += [(names[i], names[j]) for j in range(n) if covers >> j & 1]
-        return tuple(out)
+        the pairs of ``Codec.covers``, sorted by element index."""
+        elem, names = self._codec._elem, self.names
+        pairs = sorted((elem[x].key, elem[y].key) for x, y in self._codec.covers())
+        return tuple((names[i], names[j]) for i, j in pairs)
 
     def format_element(self, x):
         return self.names[x.key]
@@ -665,11 +655,11 @@ def validate(lat: Lattice) -> ValidationReport:
     """The axiom report of a handle, which is always ok.
 
     Every kind is a bounded distributive lattice whose complement is an
-    order-reversing involution subject to both De Morgan laws, and every
-    handle holds it by construction: chains and default powersets are valid
-    as built, and ``PowersetLattice`` with a complement table and
+    order-reversing involution, hence subject to both De Morgan laws, and
+    every handle holds it by construction: chains and default powersets are
+    valid as built, and ``PowersetLattice`` with a complement table and
     ``CustomLattice`` raise ``InvalidLatticeError`` on a declaration that
-    breaks an axiom.
+    breaks an axiom, checking the complement on the Birkhoff covers.
     """
     return ValidationReport(True)
 

@@ -13,6 +13,7 @@ computes, with transformability read off its result.
 from __future__ import annotations
 
 from .lattice import (
+    Elem,
     LatticeMismatchError,
     PairValue,
     bot_pair,
@@ -140,6 +141,8 @@ class TValuation:
         for l, e in vals.items():
             if not isinstance(l, RevisionAtom):
                 raise TypeError(f"key {l!r} is not a revision atom")
+            if not isinstance(e, Elem):
+                raise TypeError(f"value for {l} is not a lattice element")
             if e.lattice is not lattice:
                 raise LatticeMismatchError(f"value for {l} comes from a different lattice")
         universe = sorted({l.atom for l in vals})
@@ -167,7 +170,7 @@ class TValuation:
     def universe(self):
         return self._universe
 
-    def __getitem__(self, ratom) -> "Elem":
+    def __getitem__(self, ratom) -> Elem:
         return self._vals[ratom]
 
     def items(self):

@@ -274,10 +274,10 @@ def test_validate_rejects_powerset_complement_table(capsys, tmp_path, table, mes
      "complement not an involution at top"),
     ("order-reversal", "bot, a, b, top", "bot < a, bot < b, a < top, b < top",
      "bot: bot, a: a, b: b, top: top", "complement not order-reversing at bot, a"),
-    # Each pair is checked for order reversal and then both De Morgan laws,
-    # so a De Morgan failure can be the first one named.
+    # An involution that fixes both ends of a chain reverses no cover; the
+    # De Morgan laws follow from order reversal, so it is what is named.
     ("de-morgan", "top, bot", "bot < top", "top: top, bot: bot",
-     "De Morgan law (join) fails at top, bot"),
+     "complement not order-reversing at bot, top"),
 ])
 def test_validate_rejects_custom_lattice(capsys, tmp_path, name, lattice, order,
                                          complement, message):

@@ -18,6 +18,7 @@ from annrev import (
     PairValue,
     PowersetLattice,
     Program,
+    TValuation,
     TwoLattice,
     UnsupportedOperationError,
     apply_iso,
@@ -27,6 +28,8 @@ from annrev import (
     is_justified_revision,
     pair_space,
     preserves_conflation,
+    rin,
+    rout,
     tr1,
 )
 from helpers import (
@@ -112,6 +115,21 @@ def test_apply_iso_rejects_other_lattice():
         for x in (B, p):
             with pytest.raises(LatticeMismatchError):
                 apply_iso(iso, x)
+
+
+def test_wrong_value_types_raise_type_error():
+    # As PairValuation and PairValue refuse what is not a pair value, a
+    # revision valuation refuses what is not an element and a pair iso or
+    # composition what is not a pair map.
+    lat = powerset_pq()
+    with pytest.raises(TypeError):
+        TValuation(lat, {rin("a"): 3, rout("a"): lat.bot})
+    with pytest.raises(TypeError):
+        PairIso(lat, {"a": 3})
+    with pytest.raises(TypeError):
+        PairIso(lat, {}, 3)
+    with pytest.raises(TypeError):
+        PairMap.identity(lat).then(3)
 
 
 def _diamond():
