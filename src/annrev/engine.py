@@ -28,12 +28,13 @@ checks, and one least-fixpoint loop serves ``necessary_change`` and the
 reduct inside each check.  The loop is semi-naive: after the first step it
 tests only the unfired rules that read an atom whose value just changed,
 and it reaches the fixpoint within #rules productive steps.  It records
-only the rules that first fire at each step; a returned outcome's trace
-accumulates them.  One check, which keeps the rules the candidate
-satisfies and reduces only their bodies, serves ``is_justified_revision``
-and ``enumerate_revisions``.  Enumeration reduces each body and builds the
-loop's dependency lists once, and candidates that keep the same rules
-share one fixpoint run.
+only the rules that first fire at each step, and an outcome keeps just
+these ``steps``: its cumulative ``trace``, quadratic in the derivation
+depth, is built from them only when it is read.  One check, which keeps
+the rules the candidate satisfies and reduces only their bodies, serves
+``is_justified_revision`` and ``enumerate_revisions``.  Enumeration
+reduces each body and builds the loop's dependency lists once, and
+candidates that keep the same rules share one fixpoint run.
 
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
 Both rule syntaxes reach this module through the annotated atoms' ``atom``
@@ -219,7 +220,7 @@ def _lfp(rules, watch, kept):
         if not changed:
             return vals, tuple(steps)
         live.difference_update(new)
-        steps.append(new)
+        steps.append(tuple(new))
         todo = {k for a in changed for k in watch[a] if k in live}
     raise FixpointBoundError(
         f"no fixpoint within {len(kept) + 1} steps for {len(kept)} rules")
@@ -306,13 +307,24 @@ def f_reduct(p: Program, B_I: PairValuation, B_R: PairValuation) -> Reduct:
 @dataclass(frozen=True)
 class RevisionOutcome:
     """Result of checking one candidate: the reduct's necessary change, the
-    verdict, and which source rules fired at each fixpoint step."""
+    verdict, and which source rules fired at each fixpoint step.
+
+    ``steps`` has one entry per productive step of the reduct's fixpoint:
+    the source indices, ascending, of the rules that first fire at that
+    step.  ``trace`` accumulates them: entry ``k`` holds every rule fired
+    by step ``k``, in source order.  It is built from ``steps`` on each
+    read, and two outcomes' steps are equal exactly when their traces are.
+    """
 
     candidate: PairValuation
     semantics: str
     necessary_change: PairValuation
     verified: bool
-    trace: tuple[tuple[int, ...], ...]
+    steps: tuple[tuple[int, ...], ...]
+
+    @property
+    def trace(self) -> tuple[tuple[int, ...], ...]:
+        return _trace(self.steps)
 
 
 def _reduce(rules, semantics, codec, bi):
@@ -365,7 +377,7 @@ def is_justified_revision(p, B_I, B_R, semantics=MPT) -> RevisionOutcome:
     _check_compatible(p, B_I, B_R)
     codec, _, _, justify = _checker(p, semantics, B_I, B_R)
     ok, change, steps = justify(_encode(codec, B_R))
-    return RevisionOutcome(B_R, semantics, _decode(p, codec, change), ok, _trace(steps))
+    return RevisionOutcome(B_R, semantics, _decode(p, codec, change), ok, steps)
 
 
 def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
@@ -402,6 +414,6 @@ def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
         ok, change, steps = justify(cand)
         if ok:
             found.append(RevisionOutcome(_decode(p, codec, cand), semantics,
-                                         _decode(p, codec, change), True, _trace(steps)))
+                                         _decode(p, codec, change), True, steps))
     found.sort(key=lambda o: o.candidate.canonical_text())
     return found

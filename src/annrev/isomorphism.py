@@ -107,9 +107,16 @@ class PairMap:
         return out
 
     def preserves_conflation(self) -> bool:
-        """Whether the map commutes with conflation ``-(p, n) = (~n, ~p)``."""
+        """Whether the map commutes with conflation ``-(p, n) = (~n, ~p)``:
+        whether its permutation commutes with the complement, compared on
+        the codec's codes."""
         perm = self._perm
-        return perm is None or all(perm[~x] == ~px for x, px in perm.items())
+        if perm is None:
+            return True
+        codec = self.lattice.codec()
+        image = {codec.encode(x): codec.encode(y) for x, y in perm.items()}
+        comp = codec.complement
+        return all(image[comp(x)] == comp(y) for x, y in image.items())
 
 
 class PairIso:

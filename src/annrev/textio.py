@@ -24,20 +24,24 @@ with one loop for every ``{ item, ... }`` list and one for every
 ``< x, y >`` pair.  A token's kind is read off its first character.  Only
 when an error is raised does ``_where`` scan the text again for the line
 and column of the token it names, so valid input never pays for positions.
-Each parser keeps a memo from the tokens of a ``< x, y >`` pair or of a
-``{ ... }`` set literal to the value they gave, so a pair text that repeats
-across a document is read once; only a read that returned normally and
-consumed exactly those tokens is kept, so errors are raised as without it.
+Each parser keeps a memo from the tokens of a ``< x, y >`` pair, of a
+``{ ... }`` set literal or of a numeral (``n`` or ``n / d``) to the value
+they gave, so a pair or annotation text that repeats across a document is
+read once; only a read that returned normally and consumed exactly those
+tokens is kept, so errors are raised as without it.
 
 ``_json_text`` writes every JSON report, byte for byte what
 ``json.dumps(obj, indent=2)`` writes, with one ``join`` per list of plain
-ints or strings where the standard encoder yields one string per token.
+strings where the standard encoder yields one string per token.  A
+report's ``trace`` is written from the outcome's per-step deltas, and a
+valuation with one text per distinct pair.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -143,7 +147,7 @@ class _Parser:
         self.text = text
         self.toks = _lex(text)
         self.i = 0
-        # Token slice of a pair or a set literal -> what it parsed to.
+        # Token slice of a pair, a set literal or a numeral -> its value.
         self.memo = {}
 
     def peek(self):
@@ -176,16 +180,22 @@ class _Parser:
         self.i += 1
         return t
 
-    def memoized(self, close, read, lattice):
-        """``read(self, lattice)`` from the cursor, or its earlier result
-        when the tokens up to the next ``close`` were read before.  A result
-        is kept only when ``read`` consumed exactly those tokens, so a hit
-        is what reading again would return, and every error is raised by
-        the read that meets it, at its own place."""
-        i = self.i
+    def through(self, close):
+        """The index just past the next ``close`` token, or None."""
         try:
-            j = self.toks.index(close, i) + 1
+            return self.toks.index(close, self.i) + 1
         except ValueError:
+            return None
+
+    def memoized(self, j, read, lattice):
+        """``read(self, lattice)`` from the cursor, or its earlier result
+        when the tokens before index ``j`` were read before (no memo when
+        ``j`` is None).  A result is kept only when ``read`` consumed
+        exactly those tokens, so a hit is what reading again would return,
+        and every error is raised by the read that meets it, at its own
+        place."""
+        i = self.i
+        if j is None:
             return read(self, lattice)
         key = tuple(self.toks[i:j])
         value = self.memo.get(key)
@@ -358,35 +368,42 @@ def _number(p, k, read):
     return read(t)
 
 
+def _read_number(p, lattice):
+    at = p.i
+    t = p.advance()
+    if "." in t:
+        value = _number(p, at, Fraction)
+    else:
+        value = _number(p, at, int)
+        if p.at_sym("/"):
+            p.advance()
+            d = p.peek()
+            if not d[:1].isdecimal() or "." in d:
+                p.syntax_error("expected an integer denominator")
+            den = _number(p, p.i, int)
+            if den == 0:
+                p.sem_error("zero denominator")
+            p.advance()
+            value = Fraction(value, den)
+    try:
+        return lattice.element(value)
+    except LatticeError as e:
+        p.sem_error(str(e), at)
+
+
 def _parse_element(p, lattice):
     at = p.i
     t = p.peek()
     if t == "{":
         if lattice.kind != "powerset":
             p.sem_error("set annotations need a powerset lattice")
-        return p.memoized("}", _read_set_element, lattice)
+        return p.memoized(p.through("}"), _read_set_element, lattice)
     if t[:1].isdecimal():
         if lattice.kind != "unit":
             p.sem_error("numeric annotations need the unit chain lattice")
-        p.advance()
-        if "." in t:
-            value = _number(p, at, Fraction)
-        else:
-            value = _number(p, at, int)
-            if p.at_sym("/"):
-                p.advance()
-                d = p.peek()
-                if not d[:1].isdecimal() or "." in d:
-                    p.syntax_error("expected an integer denominator")
-                den = _number(p, p.i, int)
-                if den == 0:
-                    p.sem_error("zero denominator")
-                p.advance()
-                value = Fraction(value, den)
-        try:
-            return lattice.element(value)
-        except LatticeError as e:
-            p.sem_error(str(e), at)
+        # The tokens ``t`` or ``t / d``; the eof sentinel ``""`` follows
+        # ``t``, so ``at + 1`` is a token.
+        return p.memoized(at + (3 if p.toks[at + 1] == "/" else 1), _read_number, lattice)
     if _is_ident(t):
         if lattice.kind == "powerset":
             p.sem_error("expected a label set in braces")
@@ -422,7 +439,7 @@ def _parse_old_atom(p, lattice, uset):
 
 def _parse_pair(p, lattice):
     """``< x , y >``: one evidence pair, read once per distinct text."""
-    return p.memoized(">", _read_pair, lattice)
+    return p.memoized(p.through(">"), _read_pair, lattice)
 
 
 def _read_pair(p, lattice):
@@ -754,13 +771,45 @@ def serialize_document(doc: Document) -> str:
     return "\n".join(parts) + "\n"
 
 
+class _Trace(list):
+    """A report's ``trace``: the outcome's cumulative entries as lists,
+    which ``json.dumps`` writes, kept with the per-step deltas ``steps``
+    that ``_json_text`` writes them from."""
+
+    def __init__(self, outcome):
+        super().__init__(map(list, outcome.trace))
+        self.steps = outcome.steps
+
+
+def _trace_text(steps, indent):
+    """``_json_text`` of the cumulative trace whose per-step deltas are
+    ``steps``: each rule index becomes text once, and each entry is one
+    join over the texts of the indices fired so far, kept in source order."""
+    if not steps:
+        return "[]"
+    inner = indent + "  "
+    comma, sep = ",\n" + inner, ",\n" + inner + "  "
+    opening, closing = "[\n" + inner + "  ", "\n" + inner + "]"
+    fired, texts, parts = [], [], []
+    for step in steps:
+        for i in step:
+            k = bisect(fired, i)
+            fired.insert(k, i)
+            texts.insert(k, int.__repr__(i))
+        parts += (comma, opening, sep.join(texts), closing) if texts else (comma, "[]")
+    parts[0] = "[\n" + inner
+    parts.append("\n" + indent + "]")
+    return "".join(parts)
+
+
 def _json_text(obj, indent="") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for the str, bool, int,
     list, tuple and dict values that the JSON reports hold (dict keys are
     str); any other type raises ``TypeError``.  The standard encoder yields
     one Python string per token when it indents; this writer renders a list
-    of plain ints, or of plain strs, with one join, so a ``trace`` costs one
-    call per step and a valuation one per atom."""
+    of plain strs with one join, a ``_Trace`` from its deltas, and each
+    distinct value object of a dict once, so a valuation costs one text per
+    distinct pair and one join."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is True:
@@ -769,14 +818,13 @@ def _json_text(obj, indent="") -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if isinstance(obj, _Trace):
+        return _trace_text(obj.steps, indent)
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        types = set(map(type, obj))
-        if types == {int}:
-            items = map(int.__repr__, obj)
-        elif types == {str}:
+        if set(map(type, obj)) == {str}:
             items = map(encode_basestring_ascii, obj)
         else:
             items = [_json_text(x, inner) for x in obj]
@@ -784,17 +832,32 @@ def _json_text(obj, indent="") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
+        sep, parts, texts = ",\n" + inner, [], {}
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            items.append(encode_basestring_ascii(k) + ": " + _json_text(v, inner))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+            # ``obj`` holds every value, so no two of them share an id.
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = _json_text(v, inner)
+            parts += (sep, encode_basestring_ascii(k), ": ", text)
+        parts[0] = "{\n" + inner
+        parts.append("\n" + indent + "}")
+        return "".join(parts)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def valuation_to_json(v: PairValuation) -> dict:
-    return {a: [repr(pv.pos), repr(pv.neg)] for a, pv in v.items()}
+    """Atom -> ``[pos, neg]`` as element texts.  Atoms whose pairs hold the
+    same element objects share one list, so each distinct pair is
+    formatted once here and rendered once by ``_json_text``."""
+    out, texts = {}, {}
+    for a, pv in v.items():
+        key = id(pv.pos), id(pv.neg)
+        if key not in texts:
+            texts[key] = [repr(pv.pos), repr(pv.neg)]
+        out[a] = texts[key]
+    return out
 
 
 def outcome_to_json(o) -> dict:
@@ -803,7 +866,7 @@ def outcome_to_json(o) -> dict:
         "necessary_change": valuation_to_json(o.necessary_change),
         "semantics": o.semantics,
         "verified": o.verified,
-        "trace": [list(step) for step in o.trace],
+        "trace": _Trace(o),
     }
 
 
@@ -814,7 +877,7 @@ def revisions_to_json(semantics, outcomes, stats) -> dict:
             {
                 "valuation": valuation_to_json(o.candidate),
                 "necessary_change": valuation_to_json(o.necessary_change),
-                "trace": [list(step) for step in o.trace],
+                "trace": _Trace(o),
             }
             for o in outcomes],
         "stats": dict(stats),

@@ -322,11 +322,13 @@ def literal_justification(p, B_I, B_R, semantics="mpt"):
     the reduct (``reduct`` under mpt, ``f_reduct`` under fitting), its least
     fixpoint iterated from bottom with ``satisfies``, recording the reduct's
     ``sources`` of the fired rules per productive step, then
-    ``apply_change``.  Shares no code with the engine's compiled kernel."""
+    ``apply_change``.  The outcome gets each step's fired sources minus
+    those of the step before.  Shares no code with the engine's compiled
+    kernel."""
     lat = p.lattice
     red = (reduct if semantics == "mpt" else f_reduct)(p, B_I, B_R)
     change = PairValuation.bottom(lat, p.universe)
-    trace = []
+    steps, before = [], set()
     for _ in range(len(red.rules) + 2):
         fired = [k for k, r in enumerate(red.rules) if satisfies(change, r.body)]
         image = PairValuation.bottom(lat, p.universe)
@@ -335,8 +337,10 @@ def literal_justification(p, B_I, B_R, semantics="mpt"):
             image = image.replace(a, image[a] | pv)
         if image == change:
             verified = apply_change(B_I, change) == B_R
-            return RevisionOutcome(B_R, semantics, change, verified, tuple(trace))
-        trace.append(tuple(red.sources[k] for k in fired))
+            return RevisionOutcome(B_R, semantics, change, verified, tuple(steps))
+        now = {red.sources[k] for k in fired}
+        steps.append(tuple(sorted(now - before)))
+        before = now
         change = image
     raise AssertionError("the reduct's operator reached no fixpoint")
 

@@ -1,14 +1,30 @@
 """Command-line behavior: commands, exit codes, determinism."""
 
 import json
+import random
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from annrev import PowersetLattice, lattice
+from annrev import (
+    FITTING,
+    MPT,
+    NEW,
+    Document,
+    PairValuation,
+    PairValue,
+    PowersetLattice,
+    apply_change,
+    is_justified_revision,
+    lattice,
+    necessary_change,
+    serialize,
+)
 from annrev.cli import build_parser, main
+from annrev.textio import outcome_to_json
+from helpers import deep_chain_program, powerset_pq
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -398,3 +414,26 @@ def test_diff_untransformable_exit_code(capsys, tmp_path):
                    "init { a = <{p}, {p}>. }\ncandidate { b = <{p}, {}>. }\n")
     assert run(capsys, "diff", doc) == (
         1, "transformable: false\ndiff:\n  a = <{p}, {p}>.\n  b = <{p}, {p}>.\n", "")
+
+
+@pytest.mark.parametrize("accepted", [True, False])
+def test_verify_json_on_a_deep_chain_matches_json_dumps(capsys, tmp_path, accepted):
+    # A 300-step chain with its rules shuffled, so that the report's trace
+    # is written from deltas that insert before rules fired earlier.
+    rng = random.Random(29)
+    p, _ = deep_chain_program(rng, powerset_pq(), NEW, 300, 100)
+    init = PairValuation.bottom(p.lattice, p.universe)
+    cand = apply_change(init, necessary_change(p))
+    if not accepted:
+        # No body reads ``z``, so the reduct and its 300 steps stay as they are.
+        cand = cand.replace("z", PairValue(p.lattice.bot, p.lattice.bot))
+    doc = tmp_path / "chain.arp"
+    doc.write_text(serialize(Document(p.lattice, NEW, p.universe, p, init, cand), "text"),
+                   encoding="utf-8")
+    code, out, _ = run(capsys, "verify", doc, "--semantics", "both", "--format", "json")
+    outcomes = [is_justified_revision(p, init, cand, s) for s in (MPT, FITTING)]
+    assert len(outcomes[0].steps) == 300 and all(o.verified == accepted for o in outcomes)
+    want = {o.semantics: outcome_to_json(o) for o in outcomes}
+    want["agreement"] = True
+    assert code == (0 if accepted else 1)
+    assert out == json.dumps(want, indent=2) + "\n"

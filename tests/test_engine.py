@@ -1,6 +1,7 @@
 """Operators, reducts, and justified revisions."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -605,6 +606,31 @@ def test_lfp_keeps_one_fired_set_per_step():
             for semantics in (MPT, FITTING):
                 got = is_justified_revision(p, bottom, necessary_change(p), semantics)
                 assert got.verified and got.trace == trace
+
+
+def test_outcome_builds_its_trace_from_its_steps():
+    # An outcome keeps ``_lfp``'s per-step deltas and builds the cumulative
+    # trace from them when ``trace`` is read.  The literal oracle builds its
+    # outcome from the differences of its cumulative fired sets, and agrees
+    # field for field.  Steps are sorted and disjoint, so outcomes that
+    # differ only in their steps compare equal exactly when their traces do.
+    outs = []
+    for p, B_I, candidates in _trace_problems(random.Random(79)):
+        for B_R in candidates:
+            for semantics in (MPT, FITTING):
+                got = is_justified_revision(p, B_I, B_R, semantics)
+                assert got.trace == _trace(got.steps)
+                assert got == literal_justification(p, B_I, B_R, semantics)
+                outs.append(got)
+    rng = random.Random(83)
+    same = 0
+    for o in outs:
+        for q in [o, *rng.sample(outs, 5)]:
+            moved = replace(o, steps=q.steps)
+            assert moved.trace == q.trace
+            assert (moved == o) == (q.trace == o.trace)
+            same += q is not o and q.trace == o.trace
+    assert same and len({o.trace for o in outs}) > 30
 
 
 def test_enumeration_deterministic():

@@ -150,6 +150,11 @@ def _symmetry(rng, lat):
         return random_label_perm(rng, lat)
     if rng.random() < 0.5:
         return {e: e for e in lat.elements()}
+    return _transposition(lat)
+
+
+def _transposition(lat):
+    """The grid transposition ``x{i}y{j} -> x{j}y{i}``."""
     def transposed(e):
         i, j = lat.format_element(e)[1:].split("y")
         return lat.element(f"x{j}y{i}")
@@ -213,6 +218,36 @@ def test_structural_pairmap_matches_pair_space_check(make):
         answers.add(m.preserves_conflation())
         assert m.preserves_conflation() == _conflation_by_pair_space(m)
     # only the custom complement has automorphisms that break conflation
+    assert answers == ({True, False} if make is powerset_pqr_custom else {True})
+
+
+def _structural_perms(lat):
+    """Every order automorphism of the lattices below: the label
+    permutations of a powerset, the identity of a chain, and the identity
+    and the transposition of a square grid."""
+    els = lat.elements()
+    if hasattr(lat, "labels"):
+        return [{e: lat.element(frozenset(dict(zip(lat.labels, image))[l] for l in e.key))
+                 for e in els} for image in permutations(lat.labels)]
+    perms = [{e: e for e in els}]
+    if isinstance(lat, CustomLattice):
+        perms.append(_transposition(lat))
+    return perms
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PowersetLattice(("p", "q", "r")), powerset_pqr_custom, chain4, _grid3x3])
+def test_preserves_conflation_on_codes_matches_elements(make):
+    # The check on the codec's codes against its definition on elements,
+    # ``perm[~x] == ~perm[x]`` for every x, on every structural map.
+    lat = make()
+    answers = set()
+    for perm in _structural_perms(lat):
+        for swap in (False, True):
+            m = PairMap.from_permutation(lat, perm, swap=swap)
+            want = all(perm[~x] == ~px for x, px in perm.items())
+            assert m.preserves_conflation() == want
+            answers.add(want)
     assert answers == ({True, False} if make is powerset_pqr_custom else {True})
 
 

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,23 +11,45 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from annrev import (
+    FITTING,
+    MPT,
+    NEW,
+    OLD,
     Document,
     DslLexError,
     DslSemanticError,
     DslSyntaxError,
+    PairValuation,
+    Program,
+    TwoLattice,
+    UnitChain,
+    apply_change,
     enumerate_revisions,
+    is_justified_revision,
+    necessary_change,
     parse,
     parse_iso,
     serialize,
 )
-from annrev.textio import _TOKEN, _json_text, _lex, _where
+from annrev.textio import (
+    _TOKEN,
+    _json_text,
+    _lex,
+    _where,
+    outcome_to_json,
+    revisions_to_json,
+    valuation_to_json,
+)
 from helpers import (
     Token,
+    chain4,
+    deep_chain_program,
     oracle_lex,
     powerset_pq,
     random_new_program,
     random_old_program,
     random_valuation,
+    unit_quarters,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -430,8 +453,8 @@ _json_values = st.recursive(_json_scalars, lambda kids: st.one_of(
     st.lists(kids, max_size=5),
     st.lists(kids, max_size=5).map(tuple),
     st.dictionaries(_json_strings, kids, max_size=5),
-    # Lists that mix bools and ints, and all-int and all-str lists, which
-    # take the writer's one-join path.
+    # Lists that mix bools and ints, all-int lists, and all-str lists,
+    # which take the writer's one-join path.
     st.lists(st.one_of(st.booleans(), st.integers()), max_size=8),
     st.lists(st.integers(), max_size=8),
     st.lists(_json_strings, max_size=5)), max_leaves=40)
@@ -462,7 +485,78 @@ def test_json_writer_renders_every_report_as_json_dumps():
                 assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
+def _report_problem(rng, kind):
+    """A program, an initial valuation and candidates for the report test:
+    a random program on one to three atoms, a shuffled derivation chain
+    with a bottom init (its trace then has one entry per chain rule) or a
+    random one, or a program without rules, whose traces are empty.  The
+    candidates are a random valuation and the init revised by the
+    necessary change; small lattices make pair values repeat across atoms."""
+    lat = rng.choice([TwoLattice(), chain4(), powerset_pq(), UnitChain()])
+    els = unit_quarters(lat) if lat.kind == "unit" else None
+    syntax = rng.choice((OLD, NEW))
+    if kind == "chain":
+        depth = rng.randint(3, 40)
+        p, _ = deep_chain_program(rng, lat, syntax, depth, rng.randint(0, depth), els)
+        B_I = (PairValuation.bottom(lat, p.universe) if rng.random() < 0.5
+               else random_valuation(rng, lat, p.universe, els=els))
+    else:
+        atoms = ("a", "b", "c")[:rng.randint(1, 3)]
+        gen = random_old_program if syntax == OLD else random_new_program
+        p = gen(rng, lat, atoms, 5, els=els)
+        if kind == "empty":
+            p = Program(syntax, lat, atoms, [])
+        B_I = random_valuation(rng, lat, atoms, els=els)
+    cands = [apply_change(B_I, necessary_change(p)),
+             random_valuation(rng, lat, p.universe, els=els)]
+    return p, B_I, cands
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("random", "chain", "empty")))
+def test_report_values_render_as_json_dumps(seed, kind):
+    # The report values carry the outcome's deltas and share one list per
+    # distinct pair; the writer renders them from those, and json.dumps
+    # from the plain lists, at several depths.
+    rng = random.Random(seed)
+    p, B_I, cands = _report_problem(rng, kind)
+    outcomes = [is_justified_revision(p, B_I, c, s) for c in cands for s in (MPT, FITTING)]
+    reports = [valuation_to_json(v) for v in (B_I, *cands)]
+    reports += [outcome_to_json(o) for o in outcomes]
+    reports.append({s: outcome_to_json(o) for s, o in zip((MPT, FITTING), outcomes)})
+    stats = {"atoms": len(p.universe), "rules": len(p.rules)}
+    reports.append(revisions_to_json(MPT, outcomes, stats))
+    if kind != "chain":
+        found = enumerate_revisions(p, B_I)
+        reports.append(revisions_to_json(MPT, found, {**stats, "revisions": len(found)}))
+    for report in reports:
+        assert _json_text(report) == json.dumps(report, indent=2)
+    for o in outcomes:
+        trace = outcome_to_json(o)["trace"]
+        assert trace == [list(step) for step in o.trace]
+        assert json.loads(json.dumps(trace)) == trace
+
+
+def test_report_values_cover_empty_traces_and_repeated_pairs():
+    # The cases the property test must reach: an empty trace, a trace whose
+    # deltas insert before indices fired earlier, and a valuation in which
+    # atoms share one pair value, and so one list.
+    rng = random.Random(7)
+    p, _ = deep_chain_program(rng, powerset_pq(), NEW, 30, 10)
+    bottom = PairValuation.bottom(p.lattice, p.universe)
+    o = is_justified_revision(p, bottom, apply_change(bottom, necessary_change(p)))
+    assert len(o.steps) == 30
+    assert any(min(step) < max(max(s) for s in o.steps[:k])
+               for k, step in enumerate(o.steps) if k)
+    shared = valuation_to_json(bottom)
+    assert len({id(v) for v in shared.values()}) == 1
+    empty = is_justified_revision(Program(NEW, p.lattice, p.universe, []), bottom, bottom)
+    assert empty.steps == () and outcome_to_json(empty)["trace"] == []
+    for report in (outcome_to_json(o), outcome_to_json(empty), shared):
+        assert _json_text(report) == json.dumps(report, indent=2)
+
+
 _PQ_HEAD = "lattice powerset { p, q }\nsyntax new\nuniverse { a, b, c, d }\n"
+_UNIT_HEAD = "lattice chain unit\nuniverse { a, b }\nprogram {\n"
 
 
 def test_repeated_pair_texts_parse_as_single_ones():
@@ -490,6 +584,19 @@ def test_repeated_pair_texts_parse_as_single_ones():
     assert rule.head.ann is rule.body[0].ann
 
 
+def test_repeated_numerals_parse_once():
+    # Numerals with the same tokens give back one element; ``0.5`` is
+    # another numeral with the same value.
+    doc = parse(_UNIT_HEAD + "  in(a):1/2 <- in(b):1 / 2, out(a):0.5.\n"
+                "  in(b):1 <- in(a):1.\n}\ninit { a = <1/2, 1>. }\n")
+    first, second = doc.program.rules
+    half, one = first.head.ann, second.head.ann
+    assert half.key == Fraction(1, 2) and one.key == 1
+    assert first.body[0].ann is half is doc.init["a"].pos
+    assert first.body[1].ann == half and first.body[1].ann is not half
+    assert second.body[0].ann is one is doc.init["a"].neg
+
+
 @pytest.mark.parametrize("text, error, message", [
     # A bad pair that repeats is reported where it first stands.
     (_PQ_HEAD + "program { }\ninit {\n  a = <{p}, {q}>.\n  b = <{p}, {z}>.\n"
@@ -501,6 +608,12 @@ def test_repeated_pair_texts_parse_as_single_ones():
      "  c = <{p}, {q}>.\n}\n", DslSyntaxError, "line 7, col 17: expected '>', found '.'"),
     (_PQ_HEAD + "program { a: <{p}, {q}> <- b: <{p}, {q}.\n  c: <{p}, {q}> <- . }\n",
      DslSyntaxError, "line 4, col 40: expected '>', found '.'"),
+    # A numeral read before, followed by a zero denominator or, after a
+    # decimal, by a '/' that the numeral does not take.
+    (_UNIT_HEAD + "  in(a):1/2 <- in(b):1/2.\n  in(b):1/0 <- in(a):1/0.\n}\n",
+     DslSemanticError, "line 5, col 11: zero denominator"),
+    (_UNIT_HEAD + "  in(a):0.5 <- in(b):0.5/2.\n}\n",
+     DslSyntaxError, "line 4, col 25: expected '.', found '/'"),
     # A set literal missing its '}' runs into the next one.
     ("lattice powerset { p, q }\nuniverse { a }\n"
      "program { in(a):{p} <- in(a):{p. in(a):{p} <- . }\n",
