@@ -97,13 +97,13 @@ def _cmd_validate(doc, args):
             "ok": True,
             "failures": [],
             "atoms": len(doc.universe),
-            "rules": len(doc.program.rules),
+            "rules": len(doc.program),
         }
         print(textio._json_text(payload))
     else:
         print(f"lattice: {doc.lattice.kind} (valid)")
         print(f"syntax: {doc.syntax}")
-        print(f"universe: {len(doc.universe)} atoms, program: {len(doc.program.rules)} rules")
+        print(f"universe: {len(doc.universe)} atoms, program: {len(doc.program)} rules")
     return EXIT_OK
 
 
@@ -154,7 +154,7 @@ def _run_enumeration(doc, init, semantics, args):
     outcomes = engine.enumerate_revisions(doc.program, init, semantics, cap=args.cap)
     stats = {
         "atoms": len(doc.universe),
-        "rules": len(doc.program.rules),
+        "rules": len(doc.program),
         "revisions": len(outcomes),
     }
     return outcomes, stats

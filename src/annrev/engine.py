@@ -15,13 +15,17 @@ All of it runs on integers.  Each call takes its lattice's codes
 below it, and an evidence pair is one int, the positive side in the low
 bits and the negative side shifted above them.  So ``<=`` is
 ``x & y == x``, join is ``|``, meet is ``&``, conflation is one complement
-lookup per side, and the mpt reduct's ``pcomp`` is the down-closure of
-``b & ~a``.  A valuation is a sequence of pair codes in universe order,
-and the compiled form of a rule is a ``(head_atom, head_code, body)``
-tuple at its source index, atoms numbered in universe order and the body
-a tuple of ``(atom, code)``.  Elements, pair values, valuations and
-outcomes are the API boundary: a call encodes its inputs once and decodes
-each value it returns once.
+lookup per side, and the mpt reduct weakens a body annotation ``b`` to
+``b & ~a``, whose down-closure is ``pcomp``.  A valuation is a sequence of
+pair codes in universe order, and the compiled form of a rule is a
+``(head_atom, head_code, body)`` tuple at its source index, atoms
+numbered in universe order and the body a tuple of ``(atom, code)``.
+Each call compiles its program.  A program parsed over a finite lattice
+already holds its pair codes, so compiling it only numbers its atoms.
+Any other program is encoded from its rule objects on each call: on the
+unit chain, the codes depend on the call's values.  Elements, pair
+values, valuations and outcomes are the API boundary: a call encodes its
+inputs once and decodes each value it returns once.
 
 One step function serves ``tp``, ``tp_heads``, ``tpb`` and both model
 checks, and one least-fixpoint loop serves ``necessary_change`` and the
@@ -37,10 +41,11 @@ reduces each body and builds the loop's dependency lists once, and
 candidates that keep the same rules share one fixpoint run.
 
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
-Both rule syntaxes reach this module through the annotated atoms' ``atom``
-and ``pair`` (``in(a):x`` is ``<x, bot>``, ``out(a):x`` is ``<bot, x>``),
-and the reducts rewrite an annotation through ``with_pair``, so nothing
-here reads the polarity of a revision atom.
+Both rule syntaxes reach this module as pair codes, which the parser
+records, or through the annotated atoms' ``atom`` and ``pair``
+(``in(a):x`` is ``<x, bot>``, ``out(a):x`` is ``<bot, x>``), and the
+reducts rewrite an annotation through ``with_pair``, so nothing here
+reads the polarity of a revision atom.
 """
 
 from __future__ import annotations
@@ -91,16 +96,24 @@ def _check_compatible(p, *valuations):
 def _compile(p: Program, *valuations):
     """The call's codec and compiled rules.
 
-    The codec covers the rules' annotations and the values of
-    ``valuations``; only the unit chain reads them.  Rule ``i`` becomes
-    ``rules[i] = (head_atom, head_code, body)``, the body a tuple of
-    ``(atom, code)`` from the annotated atoms' ``atom`` and ``pair``, each
-    read once per literal; satisfaction, the one-step operator, and both
-    reducts agree with the literal definitions under this encoding."""
+    Rule ``i`` becomes ``rules[i] = (head_atom, head_code, body)``, the
+    body a tuple of ``(atom, code)``; satisfaction, the one-step operator,
+    and both reducts agree with the literal definitions under this
+    encoding.  Atoms are numbered here, by universe position, for either
+    form of program.  A parsed program on a finite lattice carries its
+    pair codes (``Program._codes``), read as they are, with the lattice's
+    fixed codec.  Any other program is encoded from its rule objects, each
+    literal's ``atom`` and ``pair`` read once, with a codec that covers
+    the rules' annotations and the values of ``valuations``; only the unit
+    chain reads them, so its codes are the call's own."""
+    index = {a: k for k, a in enumerate(p.universe)}
+    if p._codes is not None:
+        rules = [(index[ha], hc, tuple([(index[a], c) for a, c, _ in body]))
+                 for (ha, hc, _), body in p._codes]
+        return p.lattice.codec(), rules
     literals = [a.pair for r in p.rules for a in (r.head, *r.body)]
     pairs = chain(literals, (pv for v in valuations for _, pv in v.items()))
     codec = p.lattice.codec(e for pv in pairs for e in (pv.pos, pv.neg))
-    index = {a: k for k, a in enumerate(p.universe)}
     codes = map(codec.pair, literals)  # consumed in literal order, as built
     rules = [(index[r.head.atom], next(codes),
               tuple((index[b.atom], next(codes)) for b in r.body))
@@ -327,14 +340,20 @@ class RevisionOutcome:
         return _trace(self.steps)
 
 
-def _reduce(rules, semantics, codec, bi):
+def _reduce(rules, semantics, bi):
     """Step two of the reduction on compiled rules, given the initial
-    values ``bi``: mpt replaces each body annotation by what is still
-    needed beyond ``bi`` (its ``pcomp``), fitting deletes the body atoms
-    ``bi`` satisfies.  Both drop a literal ``bi`` satisfies, since mpt
-    weakens it to bottom, which every value satisfies."""
-    weaken = codec.pcomp if semantics == MPT else lambda _, c: c
-    return [(ha, hc, tuple((a, weaken(bi[a], c)) for a, c in body if c & bi[a] != c))
+    values ``bi``: mpt weakens each body annotation ``c`` on atom ``a`` to
+    ``c & ~bi[a]``, the bits of ``c`` that ``bi`` lacks, and fitting deletes
+    the body atoms ``bi`` satisfies.  Both drop a literal ``bi`` satisfies,
+    since mpt would weaken it to bottom, which every value satisfies.
+
+    The down-closure of mpt's mask is the annotation's ``pcomp``, what is
+    still needed beyond ``bi[a]``.  A reduced body is only tested with
+    ``c & v == c`` against ``_lfp``'s values, which are joins of head codes
+    and so down-sets, and a down-set holds a mask exactly when it holds the
+    mask's down-closure: the mask gives the closure's verdicts."""
+    mpt = semantics == MPT
+    return [(ha, hc, tuple([(a, c & ~bi[a] if mpt else c) for a, c in body if c & bi[a] != c]))
             for ha, hc, body in rules]
 
 
@@ -352,7 +371,7 @@ def _checker(p, semantics, B_I, *valuations):
     codec, rules = _compile(p, B_I, *valuations)
     bi = _encode(codec, B_I)
     conflate = codec.conflate
-    reduced = _reduce(rules, semantics, codec, bi)
+    reduced = _reduce(rules, semantics, bi)
     watch = _watch(reduced, len(bi))
     reducts = {}
 

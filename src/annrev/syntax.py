@@ -5,8 +5,9 @@ single lattice elements; pair-annotation rules annotate atoms directly with
 evidence pairs.  Both annotated-atom classes expose the one encoding that
 relates them: ``in(a):x`` is the pair ``<x, bot>`` on ``a`` and
 ``out(a):x`` the pair ``<bot, x>``.  Every consumer reads ``atom`` and
-``pair`` and rewrites an annotation through ``with_pair``, so no other
-module reads a revision atom's polarity.  Structural transformations
+``pair`` and rewrites an annotation through ``with_pair``, and a parsed
+program's pair codes are encoded here too (``Program._parsed``), so no
+other module maps a polarity to a side.  Structural transformations
 connect the two syntaxes and embed unannotated revision rules over the
 two-valued lattice.
 """
@@ -139,9 +140,23 @@ class Program:
     Rule order never affects semantics, only output formatting.  Atoms
     mentioned by rules must belong to the universe so that valuations stay
     total mappings.
+
+    A program holds its rules in one of two forms.  The constructor takes
+    rule objects and checks them; the engine encodes them on each call.
+    On a finite lattice the parser hands over its checked literals instead
+    (``_parsed``), and the program keeps them as pair codes: rule ``i`` of
+    ``_codes`` is ``(head, body)``, each literal ``(atom, pair_code,
+    polarity)``, the polarity ``in`` or ``out`` in revision-atom syntax and
+    None in pair syntax.  The engine reads those codes as they are.
+    ``_literals[i]`` keeps the parser's literals ``(atom, annotation,
+    polarity)`` of rule ``i``, head first, and ``rules`` builds the rule
+    objects from them on its first read.  Every slot is set by the
+    constructors, and ``_rules`` is only ever filled: building is
+    deterministic and the tuple immutable, so concurrent first reads may
+    each build it, and every reader sees equal rules.
     """
 
-    __slots__ = ("syntax", "lattice", "universe", "rules")
+    __slots__ = ("syntax", "lattice", "universe", "_rules", "_codes", "_literals")
 
     def __init__(self, syntax, lattice, universe, rules):
         if syntax not in (OLD, NEW):
@@ -163,7 +178,49 @@ class Program:
         self.syntax = syntax
         self.lattice = lattice
         self.universe = universe
-        self.rules = tuple(dict.fromkeys(rules))
+        self._rules = tuple(dict.fromkeys(rules))
+        self._codes = self._literals = None
+
+    @classmethod
+    def _parsed(cls, syntax, lattice, universe, rules):
+        """A program of the parser's rules, each a list of literals
+        ``(atom, annotation, polarity)``, head first, whose atoms and
+        annotations the parser has checked; the polarity is None in pair
+        syntax.  Nothing is checked again.  On a finite lattice the
+        program keeps the code form, one entry per distinct rule.  On the
+        unit chain, whose codes each engine call derives from its own
+        values, it builds the rule objects."""
+        self = cls.__new__(cls)
+        self.syntax = syntax
+        self.lattice = lattice
+        self.universe = tuple(sorted(universe))
+        if not lattice.is_finite:
+            self._rules = tuple(dict.fromkeys([_build_rule(syntax, lits) for lits in rules]))
+            self._codes = self._literals = None
+            return self
+        codec = lattice.codec()
+        encode, pair, width = codec.encode, codec.pair, codec.width
+        kept = {}
+        for lits in rules:
+            # ``in(a):x`` is ``<x, bot>`` and ``out(a):x`` is ``<bot, x>``.
+            codes = [(a, pair(x) if pol is None else encode(x) << width if pol == OUT
+                      else encode(x), pol) for a, x, pol in lits]
+            # Two rules are equal exactly when their codes and polarities
+            # are: ``in(a):bot`` and ``out(a):bot`` share the code 0.
+            kept.setdefault((codes[0], tuple(codes[1:])), lits)
+        self._rules = None
+        self._codes = tuple(kept)
+        self._literals = tuple(kept.values())
+        return self
+
+    @property
+    def rules(self):
+        """The rule objects, built on the first read of a parsed program."""
+        rules = self._rules
+        if rules is None:
+            syntax = self.syntax
+            rules = self._rules = tuple([_build_rule(syntax, lits) for lits in self._literals])
+        return rules
 
     def __eq__(self, other):
         if not isinstance(other, Program):
@@ -175,7 +232,8 @@ class Program:
         return hash((self.syntax, id(self.lattice), self.universe, self.rules))
 
     def __len__(self):
-        return len(self.rules)
+        """The rule count, read off whichever form the program holds."""
+        return len(self._codes if self._rules is None else self._rules)
 
     def __iter__(self):
         return iter(self.rules)
@@ -191,7 +249,17 @@ class Program:
         return Program(self.syntax, self.lattice, self.universe, self.rules + other.rules)
 
     def __repr__(self):
-        return f"Program({self.syntax}, {len(self.rules)} rules over {self.universe})"
+        return f"Program({self.syntax}, {len(self)} rules over {self.universe})"
+
+
+def _build_rule(syntax, lits):
+    """The rule object of the parser's literals ``(atom, annotation,
+    polarity)``, head first."""
+    if syntax == OLD:
+        atoms = [AnnotatedRevisionAtom(RevisionAtom(pol, a), x) for a, x, pol in lits]
+        return OldRule(atoms[0], tuple(atoms[1:]))
+    atoms = [PairAnnotatedAtom(a, x) for a, x, _ in lits]
+    return NewRule(atoms[0], tuple(atoms[1:]))
 
 
 def join_transform(p: Program) -> Program:

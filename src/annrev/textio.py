@@ -30,6 +30,14 @@ they gave, so a pair or annotation text that repeats across a document is
 read once; only a read that returned normally and consumed exactly those
 tokens is kept, so errors are raised as without it.
 
+A program block builds no rule objects.  One reader serves the literals
+of every lattice kind and both syntaxes; it compares the tokens before an
+annotation in place and re-reads them through the checking reads only to
+raise an error.  Each rule is kept as a list of literals ``(atom,
+annotation, polarity)``, and ``Program._parsed`` takes the lists without
+checking them again: on a finite lattice it keeps them as pair codes and
+builds the rule objects on the first read of ``rules``.
+
 ``_json_text`` writes every JSON report, byte for byte what
 ``json.dumps(obj, indent=2)`` writes, with one ``join`` per list of plain
 strings where the standard encoder yields one string per token.  A
@@ -58,16 +66,7 @@ from .lattice import (
     TwoLattice,
     UnitChain,
 )
-from .syntax import (
-    NEW,
-    OLD,
-    AnnotatedRevisionAtom,
-    NewRule,
-    OldRule,
-    PairAnnotatedAtom,
-    Program,
-    RevisionAtom,
-)
+from .syntax import IN, NEW, OLD, OUT, Program
 from .valuation import PairValuation
 
 
@@ -425,18 +424,6 @@ def _expect_atom(p, uset):
     return name
 
 
-def _parse_old_atom(p, lattice, uset):
-    t = p.expect_ident("'in' or 'out'")
-    if t not in ("in", "out"):
-        p.syntax_error(f"expected 'in' or 'out', found {t!r}", p.i - 1)
-    p.expect_sym("(")
-    name = _expect_atom(p, uset)
-    p.expect_sym(")")
-    p.expect_sym(":")
-    ann = _parse_element(p, lattice)
-    return AnnotatedRevisionAtom(RevisionAtom(t, name), ann)
-
-
 def _parse_pair(p, lattice):
     """``< x , y >``: one evidence pair, read once per distinct text."""
     return p.memoized(p.through(">"), _read_pair, lattice)
@@ -451,32 +438,61 @@ def _read_pair(p, lattice):
     return PairValue(x, y)
 
 
-def _parse_new_atom(p, lattice, uset):
-    name = _expect_atom(p, uset)
+def _read_literal(p, lattice, uset, old):
+    """One head or body literal, on every lattice kind: ``(atom, ann,
+    polarity)``.  ``in(a):x`` and ``out(a):x`` give the element ``x`` and
+    their polarity, ``a:<x, y>`` the pair and None.  The tokens before the
+    annotation are compared in place; each test reads one token past the
+    last, so none reads beyond the eof sentinel."""
+    toks, i = p.toks, p.i
+    if old:
+        if not (toks[i] in (IN, OUT) and toks[i + 1] == "(" and toks[i + 2] in uset
+                and toks[i + 3] == ")" and toks[i + 4] == ":"):
+            _literal_error(p, uset, old)
+        p.i = i + 5
+        return toks[i + 2], _parse_element(p, lattice), toks[i]
+    if not (toks[i] in uset and toks[i + 1] == ":"):
+        _literal_error(p, uset, old)
+    p.i = i + 2
+    return toks[i], _parse_pair(p, lattice), None
+
+
+def _literal_error(p, uset, old):
+    """Raise the located error of a literal whose tokens before the
+    annotation (``in ( a ) :`` or ``a :``) are not all as expected: the
+    first read that meets a wrong token raises."""
+    if old:
+        t = p.expect_ident("'in' or 'out'")
+        if t not in (IN, OUT):
+            p.syntax_error(f"expected 'in' or 'out', found {t!r}", p.i - 1)
+        p.expect_sym("(")
+        _expect_atom(p, uset)
+        p.expect_sym(")")
+    else:
+        _expect_atom(p, uset)
     p.expect_sym(":")
-    return PairAnnotatedAtom(name, _parse_pair(p, lattice))
 
 
 def _parse_program(p, lattice, syntax, universe):
+    """The program block, each rule a list of its literals, head first,
+    which ``Program._parsed`` takes without checking them again."""
     p.expect_sym("{")
     uset = set(universe)
-    atom = _parse_old_atom if syntax == OLD else _parse_new_atom
-    mk = OldRule if syntax == OLD else NewRule
-    rules = []
-    while not p.at_sym("}"):
-        head = atom(p, lattice, uset)
+    old = syntax == OLD
+    toks, rules = p.toks, []
+    while toks[p.i] != "}":
+        lits = [_read_literal(p, lattice, uset, old)]
         p.expect_sym("<-")
-        body = []
-        while not p.at_sym("."):
-            body.append(atom(p, lattice, uset))
-            if p.at_sym(","):
-                p.advance()
-            elif not p.at_sym("."):
+        while toks[p.i] != ".":
+            lits.append(_read_literal(p, lattice, uset, old))
+            if toks[p.i] == ",":
+                p.i += 1
+            elif toks[p.i] != ".":
                 break
         p.expect_sym(".")
-        rules.append(mk(head, tuple(body)))
+        rules.append(lits)
     p.expect_sym("}")
-    return Program(syntax, lattice, universe, rules)
+    return Program._parsed(syntax, lattice, universe, rules)
 
 
 def _parse_valuation(p, lattice, universe):

@@ -1,12 +1,17 @@
 """Command-line behavior: commands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annrev import (
     FITTING,
@@ -437,3 +442,48 @@ def test_verify_json_on_a_deep_chain_matches_json_dumps(capsys, tmp_path, accept
     want["agreement"] = True
     assert code == (0 if accepted else 1)
     assert out == json.dumps(want, indent=2) + "\n"
+
+
+# Fuzz material: pieces of every token kind, blanks, a comment start and
+# characters that start no token.
+_PIECES = ("{", "}", "<", ">", ",", ".", ":", "(", ")", "[", "]", "<-", "->", "/", "=", "*",
+           "0", "1", "1/2", "0.5", "7", "in", "out", "t", "f", "a", "b", "p", "q", "z",
+           "{p}", "<t, f>", "<{p}, {}>", " ", "\n", "#", "@", "²")
+_FUZZ_ARGS = (["validate"], ["nc"], ["check"], ["verify", "--semantics", "both"],
+              ["revise", "--semantics", "both", "--cap", "4096"], ["translate", "--to", "old"],
+              ["translate", "--to", "new"], ["shift", "--iso", str(FIXTURES / "shift_cex.iso")],
+              ["diff"])
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """The text of a fixture after one to three edits, each deleting or
+    duplicating a span of up to 12 characters or putting in a piece."""
+    fixtures = sorted(FIXTURES.glob("*.arp")) + sorted(FIXTURES.glob("kinds/*.arp"))
+    path = draw(st.sampled_from(fixtures))
+    text = path.read_text(encoding="utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        op = draw(st.sampled_from(("delete", "duplicate", "insert")))
+        if op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "duplicate":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + draw(st.sampled_from(_PIECES)) + text[i:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_fixture())
+def test_mutated_fixtures_exit_0_1_or_2_on_every_command(text):
+    # Whatever a command makes of a damaged document, it answers with an
+    # exit status; no exception escapes ``main``.
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "doc.arp"
+        doc.write_text(text, encoding="utf-8")
+        for args in _FUZZ_ARGS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([args[0], str(doc), *args[1:]]) in (0, 1, 2)

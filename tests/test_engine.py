@@ -43,6 +43,7 @@ from helpers import (
     all_valuations,
     brute_force_revisions,
     chain4,
+    chain_product,
     deep_chain_program,
     literal_justification,
     literal_tp,
@@ -419,14 +420,16 @@ def _outcome_key(outs):
 
 def _random_problems(rng):
     """Random (program, initial valuation) pairs over two, chain4,
-    powerset{p,q}, the custom powerset{p,q,r} and small unit-chain
-    programs, in both syntaxes, on one and two atoms."""
+    powerset{p,q}, the custom powerset{p,q,r}, small unit-chain programs
+    and the 3x3 grid, whose join-irreducibles are not an antichain, in both
+    syntaxes, on one and two atoms."""
     cases = [
         (TwoLattice(), None, 6, 6),
         (chain4(), None, 6, 2),
         (powerset_pq(), None, 6, 2),
         (powerset_pqr_custom(), None, 4, 1),
         (unit, unit_quarters(unit), 6, 2),
+        (chain_product(3, 3), None, 4, 1),
     ]
     for lat, els, one_atom, two_atoms in cases:
         for atoms, trials in ((("a",), one_atom), (("a", "b"), two_atoms)):
