@@ -11,10 +11,8 @@ between initial databases.
 from types import ModuleType as _ModuleType
 
 from .engine import (
-    DEFAULT_ENUMERATION_CAP,
     FITTING,
     MPT,
-    CapExceededError,
     FixpointBoundError,
     Reduct,
     RevisionOutcome,

@@ -15,8 +15,7 @@ from .engine import FITTING, MPT
 from .isomorphism import apply_iso
 from .lattice import LatticeError, UnsupportedOperationError
 from .syntax import NEW, OLD, tr1, tr2
-from .valuation import apply_change
-from .valuation import diff as valuation_diff
+from .valuation import _least_change
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -46,11 +45,8 @@ def build_parser():
     sp = add("verify", "is the candidate a justified revision of init?")
     sp.add_argument("--semantics", choices=(MPT, FITTING, "both"), default=MPT)
 
-    sp = add("revise", "enumerate all justified revisions of init")
+    sp = add("revise", "enumerate all justified revisions of init, by deciding rules")
     sp.add_argument("--semantics", choices=(MPT, FITTING, "both"), default=MPT)
-    sp.add_argument("--cap", type=int, default=engine.DEFAULT_ENUMERATION_CAP,
-                    help="abort if the change space (the product over atoms of "
-                         "the joins of rule heads) exceeds this size")
 
     sp = add("translate", "translate the program between the two rule syntaxes")
     sp.add_argument("--to", choices=(OLD, NEW), required=True)
@@ -150,8 +146,8 @@ def _cmd_verify(doc, args):
     return EXIT_OK if all(o.verified for o in outcomes) else EXIT_NEGATIVE
 
 
-def _run_enumeration(doc, init, semantics, args):
-    outcomes = engine.enumerate_revisions(doc.program, init, semantics, cap=args.cap)
+def _run_enumeration(doc, init, semantics):
+    outcomes = engine.enumerate_revisions(doc.program, init, semantics)
     stats = {
         "atoms": len(doc.universe),
         "rules": len(doc.program),
@@ -173,7 +169,7 @@ def _print_enumeration(semantics, outcomes):
 def _cmd_revise(doc, args):
     init = _need(doc, "init", "revise")
     semantics = [MPT, FITTING] if args.semantics == "both" else [args.semantics]
-    runs = {s: _run_enumeration(doc, init, s, args) for s in semantics}
+    runs = {s: _run_enumeration(doc, init, s) for s in semantics}
     found = [[o.candidate for o in outcomes] for outcomes, _ in runs.values()]
     if args.format == "json":
         reports = {s: textio.revisions_to_json(s, *run) for s, run in runs.items()}
@@ -224,8 +220,7 @@ def _cmd_shift(doc, args):
 def _cmd_diff(doc, args):
     init = _need(doc, "init", "diff")
     cand = _need(doc, "candidate", "diff")
-    d = valuation_diff(cand, init)
-    ok = apply_change(init, d) == cand
+    d, ok = _least_change(cand, init)
     if args.format == "json":
         print(textio._json_text({"transformable": ok, "diff": textio.valuation_to_json(d)}))
     else:
@@ -252,8 +247,7 @@ def main(argv=None) -> int:
     try:
         doc = textio.parse(_read(args.input))
         return _COMMANDS[args.command](doc, args)
-    except (textio.DslError, engine.CapExceededError, UnsupportedOperationError,
-            LatticeError, OSError) as e:
+    except (textio.DslError, UnsupportedOperationError, LatticeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -36,9 +36,12 @@ only the rules that first fire at each step, and an outcome keeps just
 these ``steps``: its cumulative ``trace``, quadratic in the derivation
 depth, is built from them only when it is read.  One check, which keeps
 the rules the candidate satisfies and reduces only their bodies, serves
-``is_justified_revision`` and ``enumerate_revisions``.  Enumeration
-reduces each body and builds the loop's dependency lists once, and
-candidates that keep the same rules share one fixpoint run.
+``is_justified_revision`` and confirms each revision that
+``enumerate_revisions`` finds.  Enumeration reduces each body and builds
+the loop's dependency lists once, then searches over which rules a
+revision keeps: the fixpoints of the rules kept so far and of the rules
+not yet dropped bound every revision below a search node, and those
+bounds decide rules before the search branches on one.
 
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
 Both rule syntaxes reach this module as pair codes, which the parser
@@ -52,8 +55,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, product
-from math import prod
+from itertools import chain
 
 from .lattice import LatticeMismatchError, UnsupportedOperationError, pcomp_pair
 from .syntax import OLD, Program
@@ -62,17 +64,6 @@ from .valuation import PairValuation, TValuation, satisfies, theta, theta_inv
 MPT = "mpt"
 FITTING = "fitting"
 SEMANTICS = (MPT, FITTING)
-
-DEFAULT_ENUMERATION_CAP = 10**7
-
-
-class CapExceededError(Exception):
-    """The change space of an enumeration exceeds the configured cap."""
-
-    def __init__(self, size, cap):
-        self.size = size
-        self.cap = cap
-        super().__init__(f"change space of {size} changes exceeds the cap of {cap}")
 
 
 class FixpointBoundError(Exception):
@@ -360,32 +351,36 @@ def _reduce(rules, semantics, bi):
 def _checker(p, semantics, B_I, *valuations):
     """The candidate check that one call shares among its candidates.
 
-    Returns the codec, the compiled rules, the initial values, and
-    ``justify(br)``, which checks the candidate ``br``, a tuple of pair
-    codes: it keeps the rules whose bodies ``br`` satisfies, takes the
-    least fixpoint ``C`` of their reduced bodies, and compares
-    ``(B_I & -C) | C`` with ``br``.  It returns (verified, change, steps).
-    Candidates that keep the same rules share the reduct, so each kept
-    set's fixpoint and revision are computed once.
+    Returns the codec and four functions on pair codes.  ``fix(kept)`` is
+    the least fixpoint of the reduced rules in the index set ``kept`` and
+    its steps; ``revise(low, high)`` is ``(B_I & -high) | low``;
+    ``satisfied(br)`` is the set of rules whose bodies ``br`` satisfies.
+    ``justify(br)`` checks the candidate ``br``, a tuple of pair codes: it
+    keeps the rules ``br`` satisfies, takes the least fixpoint ``C`` of
+    their reduced bodies, and compares ``(B_I & -C) | C`` with ``br``.  It
+    returns (verified, change, steps).
     """
     codec, rules = _compile(p, B_I, *valuations)
     bi = _encode(codec, B_I)
     conflate = codec.conflate
     reduced = _reduce(rules, semantics, bi)
     watch = _watch(reduced, len(bi))
-    reducts = {}
+
+    def fix(kept):
+        return _lfp(reduced, watch, kept)
+
+    def revise(low, high):
+        return tuple([(b & conflate(h)) | l for b, l, h in zip(bi, low, high)])
+
+    def satisfied(br):
+        return {k for k, (_, _, body) in enumerate(rules)
+                if all(c & br[a] == c for a, c in body)}
 
     def justify(br):
-        kept = tuple([k for k, (_, _, body) in enumerate(rules)
-                      if all(c & br[a] == c for a, c in body)])
-        if kept not in reducts:
-            change, steps = _lfp(reduced, watch, kept)
-            revised = tuple([(b & conflate(c)) | c for b, c in zip(bi, change)])
-            reducts[kept] = change, steps, revised
-        change, steps, revised = reducts[kept]
-        return revised == br, change, steps
+        change, steps = fix(satisfied(br))
+        return revise(change, change) == br, change, steps
 
-    return codec, rules, bi, justify
+    return codec, fix, revise, satisfied, justify
 
 
 def is_justified_revision(p, B_I, B_R, semantics=MPT) -> RevisionOutcome:
@@ -394,42 +389,57 @@ def is_justified_revision(p, B_I, B_R, semantics=MPT) -> RevisionOutcome:
     reduct taken with respect to (initial, candidate)."""
     _check_semantics(semantics)
     _check_compatible(p, B_I, B_R)
-    codec, _, _, justify = _checker(p, semantics, B_I, B_R)
+    codec, *_, justify = _checker(p, semantics, B_I, B_R)
     ok, change, steps = justify(_encode(codec, B_R))
     return RevisionOutcome(B_R, semantics, _decode(p, codec, change), ok, steps)
 
 
-def enumerate_revisions(p, B_I, semantics=MPT, cap=DEFAULT_ENUMERATION_CAP):
+def enumerate_revisions(p, B_I, semantics=MPT):
     """All justified revisions of the initial valuation, returned in
     canonical serialization order.
 
-    Every justified revision is ``(B_I & -C) | C`` where ``C`` is the
-    necessary change of the reduct.  The reduct keeps rule heads, so
-    ``C[a]`` is a join of some of the head annotations on ``a``.  The search
-    runs over the product of those per-atom head-join closures (the change
-    space, bounded by ``cap``), maps each change to its candidate, and
-    checks each distinct candidate.  The closures are finite on every
-    lattice, so the search is exact on the unit chain too.
+    A justified revision is fixed by the set ``K`` of rules whose bodies it
+    satisfies: it is ``(B_I & -C) | C`` for the necessary change ``C`` of
+    ``K``'s reduct.  The search decides rules.  A node keeps some rules and
+    allows the rest that it has not dropped; ``L``, the fixpoint of the
+    kept rules, and ``U``, that of the allowed ones, bound ``C`` for every
+    ``K`` between them, so every such revision lies between
+    ``(B_I & -U) | L`` and ``(B_I & -L) | U``.
+    A rule whose body the lower bound satisfies must be kept, one whose
+    body the upper bound fails must be dropped, and a node whose kept rules
+    this would drop, or whose dropped rules it would keep, has no revision.
+    When the bounds settle, the node branches on its lowest undecided rule;
+    a node with none has ``L == U`` and one candidate, which ``justify``
+    confirms.  Each leaf keeps its own rule set, so no revision is found
+    twice, and the search is exact on every lattice, the unit chain too.
     """
     _check_semantics(semantics)
     _check_compatible(p, B_I)
-    codec, rules, bi, justify = _checker(p, semantics, B_I)
-    # Per atom, every join of a subset of its rule heads, bottom included.
-    joins = [{0: None} for _ in bi]
-    for ha, hc, _ in rules:
-        closure = joins[ha]
-        for j in tuple(closure):
-            closure.setdefault(j | hc)
-    size = prod(map(len, joins))
-    if size > cap:
-        raise CapExceededError(size, cap)
-    # The candidate is computed atom by atom, so changes that give the same
-    # value on an atom collapse before the product is taken.
-    conflate = codec.conflate
-    per_atom = [tuple(dict.fromkeys((b & conflate(c)) | c for c in closure))
-                for b, closure in zip(bi, joins)]
-    found = []
-    for cand in product(*per_atom):
+    codec, fix, revise, satisfied, justify = _checker(p, semantics, B_I)
+    # A node is (kept, allowed, L, U); a bound is None until computed, and
+    # each child inherits the one its decision leaves unchanged.
+    found, nodes = [], [(frozenset(), frozenset(range(len(p))), [0] * len(p.universe), None)]
+    while nodes:
+        kept, allowed, low, high = nodes.pop()
+        while kept <= allowed:
+            if low is None:
+                low = fix(kept)[0]
+            if high is None:
+                high = low if kept == allowed else fix(allowed)[0]
+            must, may = satisfied(revise(low, high)), satisfied(revise(high, low))
+            if must <= kept and allowed <= may:
+                break
+            if not must <= kept:
+                kept, low = kept | must, None
+            if not allowed <= may:
+                allowed, high = allowed & may, None
+        else:  # some rule is both kept and dropped
+            continue
+        if kept != allowed:
+            k = min(allowed - kept)
+            nodes += [(kept | {k}, allowed, None, high), (kept, allowed - {k}, low, None)]
+            continue
+        cand = revise(low, low)
         ok, change, steps = justify(cand)
         if ok:
             found.append(RevisionOutcome(_decode(p, codec, cand), semantics,

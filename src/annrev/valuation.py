@@ -232,15 +232,20 @@ def apply_change(B: PairValuation, C: PairValuation) -> PairValuation:
 
 
 def transformable(B: PairValuation, R: PairValuation) -> bool:
-    """Whether some change valuation turns B into R.  Exact through
-    ``diff``: when no change does, ``diff`` returns all-top, and an all-top
-    ``R`` is always reachable."""
-    return apply_change(B, diff(R, B)) == R
+    """Whether some change valuation turns B into R: whether the least
+    fixpoint that ``diff`` computes solves the equation."""
+    return _least_change(R, B)[1]
 
 
 def diff(R: PairValuation, B: PairValuation) -> PairValuation:
     """Least change valuation transforming B into R, or the all-top
-    valuation when no change valuation does.
+    valuation when no change valuation does; ``transformable`` tells the
+    two apart."""
+    return _least_change(R, B)[0]
+
+
+def _least_change(R, B):
+    """``diff(R, B)`` and whether it transforms B into R.
 
     Per atom, ``c`` solves ``(b & -c) | c == r`` exactly when ``c <= r``
     and ``c >= pcomp(b & -c, r) | pcomp(-b, -r)``: the first term restates
@@ -266,6 +271,6 @@ def diff(R: PairValuation, B: PairValuation) -> PairValuation:
         while x != prev:
             prev, x = x, pcomp(b & conflate(x), r) | floor
         if (b & conflate(x)) | x != r:
-            return PairValuation.top(lat, B.atoms)
+            return PairValuation.top(lat, B.atoms), False
         out[a] = codec.unpair(x)
-    return PairValuation(lat, out)
+    return PairValuation(lat, out), True

@@ -213,13 +213,6 @@ def test_revise_unit_chain_exact(capsys):
     assert "  a = <0, 1>.\n  b = <1, 0>.\n" in out
 
 
-def test_revise_cap_exceeded(capsys):
-    # proposal's change space has 8 members.
-    code, _, err = run(capsys, "revise", FIXTURES / "proposal.arp", "--cap", "4")
-    assert code == 2
-    assert "exceeds the cap" in err
-
-
 def test_byte_identical_outputs(capsys):
     _, out1, _ = run(capsys, "revise", FIXTURES / "proposal.arp")
     _, out2, _ = run(capsys, "revise", FIXTURES / "proposal.arp")
@@ -450,7 +443,7 @@ _PIECES = ("{", "}", "<", ">", ",", ".", ":", "(", ")", "[", "]", "<-", "->", "/
            "0", "1", "1/2", "0.5", "7", "in", "out", "t", "f", "a", "b", "p", "q", "z",
            "{p}", "<t, f>", "<{p}, {}>", " ", "\n", "#", "@", "²")
 _FUZZ_ARGS = (["validate"], ["nc"], ["check"], ["verify", "--semantics", "both"],
-              ["revise", "--semantics", "both", "--cap", "4096"], ["translate", "--to", "old"],
+              ["revise", "--semantics", "both"], ["translate", "--to", "old"],
               ["translate", "--to", "new"], ["shift", "--iso", str(FIXTURES / "shift_cex.iso")],
               ["diff"])
 

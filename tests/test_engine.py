@@ -12,12 +12,12 @@ from annrev import (
     MPT,
     NEW,
     OLD,
-    CapExceededError,
     CustomLattice,
     InvalidLatticeError,
     PairValuation,
     PairValue,
     PowersetLattice,
+    Program,
     TwoLattice,
     UnitChain,
     UnsupportedOperationError,
@@ -645,12 +645,120 @@ def test_enumeration_deterministic():
     assert texts == sorted(texts)
 
 
-def test_enumeration_cap():
-    # proposal's change space has 8 members.
-    lat, p, B_I = proposal()
-    with pytest.raises(CapExceededError, match="exceeds the cap"):
-        enumerate_revisions(p, B_I, MPT, cap=4)
-    assert len(enumerate_revisions(p, B_I, MPT, cap=8)) == 2
+def _checked_revisions(p, B_I, semantics):
+    """Guess and check with the engine's verdict: every valuation over the
+    universe, kept when ``is_justified_revision`` accepts it."""
+    return [o for o in (is_justified_revision(p, B_I, B_R, semantics)
+                        for B_R in all_valuations(p.lattice, p.universe)) if o.verified]
+
+
+def test_search_agrees_with_guess_and_check_on_three_atoms():
+    # Three atoms give the rule search room to branch and prune: under
+    # both semantics, outcome by outcome, against the literal oracle on
+    # two and against guess and check on chain4 and powerset{p,q}, whose
+    # 4,096 candidates per problem the literal check is too slow for.
+    rng = random.Random(67)
+    atoms = ("a", "b", "c")
+    for lat, oracle, trials in ((TwoLattice(), brute_force_revisions, 12),
+                                (chain4(), _checked_revisions, 2),
+                                (powerset_pq(), _checked_revisions, 2)):
+        for gen in (random_old_program, random_new_program):
+            for _ in range(trials):
+                p = gen(rng, lat, atoms, 6)
+                B_I = random_valuation(rng, lat, atoms)
+                for semantics in (MPT, FITTING):
+                    assert (_outcome_key(enumerate_revisions(p, B_I, semantics))
+                            == _outcome_key(oracle(p, B_I, semantics)))
+
+
+def test_revisions_of_a_disjoint_union_are_the_products_of_its_parts():
+    # Programs over disjoint atoms share no rule bodies, so a revision of
+    # their union is a revision of each part side by side, with the parts'
+    # necessary changes side by side, and every such pair is one.
+    rng = random.Random(71)
+    found = 0
+    for lat, els in ((TwoLattice(), None), (chain4(), None), (powerset_pq(), None),
+                     (unit, unit_quarters(unit))):
+        for gen in (random_old_program, random_new_program):
+            for _ in range(8):
+                parts = [(gen(rng, lat, atoms, 5, els=els),
+                          random_valuation(rng, lat, atoms, els=els))
+                         for atoms in (("a", "b"), ("c", "d"))]
+                p = Program(parts[0][0].syntax, lat, ("a", "b", "c", "d"),
+                            parts[0][0].rules + parts[1][0].rules)
+                B_I = PairValuation(lat, dict(parts[0][1].items() + parts[1][1].items()))
+                for semantics in (MPT, FITTING):
+                    (one, two) = [enumerate_revisions(q, B, semantics) for q, B in parts]
+                    want = {(PairValuation(lat, dict(x.candidate.items() + y.candidate.items())),
+                             PairValuation(lat, dict(x.necessary_change.items()
+                                                     + y.necessary_change.items())))
+                            for x in one for y in two}
+                    got = enumerate_revisions(p, B_I, semantics)
+                    assert {(o.candidate, o.necessary_change) for o in got} == want
+                    assert len(got) == len(want)
+                    found += len(got)
+    assert found > 100
+
+
+def test_search_finds_each_revision_once():
+    # One revision: a kept rule set of {1} gives a = <t, t>, b = <t, f>,
+    # which satisfies rule 1's body and fails rule 0's.  Keeping both rules
+    # revises B_I to the same candidate, since a is top either way, but
+    # that candidate fails rule 0's body, so the branch that keeps rule 0
+    # has to end when the upper bound fails it, not at a leaf.
+    doc = parse("lattice two\nsyntax new\nuniverse { a, b }\nprogram {\n"
+                "  a:<t,t> <- a:<t,t>, b:<t,t>.\n  b:<t,f> <- a:<f,t>, a:<t,t>.\n}\n"
+                "init { a = <t, t>. b = <t, t>. }\n")
+    lat = doc.lattice
+    (o,) = enumerate_revisions(doc.program, doc.init, MPT)
+    assert o.candidate == valuation(lat, {"a": ("t", "t"), "b": ("t", "f")})
+    assert o.necessary_change == valuation(lat, {"a": ("f", "f"), "b": ("t", "f")})
+    assert o.steps == ((1,),)
+
+
+def _cycle(atoms):
+    """The cyclic family over ``powerset{p,q}``: per atom an ``in:{p}`` and
+    an ``in:{q}`` rule, each reading the same side of the previous atom in
+    the cycle, plus the fact ``in(atoms[0]):{p}``."""
+    rules = [(("in", atoms[0], {"p"}), [])]
+    for prev, a in zip(atoms[-1:] + atoms[:-1], atoms):
+        rules += [(("in", a, {x}), [("in", prev, {x})]) for x in ("p", "q")]
+    return rules
+
+
+# (initial pair, revision, necessary change), the same on every atom of a
+# cycle.  q held: every q rule's body holds from the start, so each fires
+# and q stays, and the initial denial of p falls to the change's
+# conflation.  q denied, p not held: no q rule can ever fire, and the
+# denial stays.
+_HELD = (({"q"}, {"p"}), ({"p", "q"}, set()), ({"p", "q"}, set()))
+_DENIED = ((set(), {"q"}), ({"p"}, {"q"}), ({"p"}, set()))
+
+
+def test_wide_cycles_have_their_known_revision():
+    # Each cycle has one revision, fixed by construction.  The fact puts p
+    # in the first atom and the p rules carry it round the cycle, one atom
+    # per step, and nothing derives negative evidence, so the initial
+    # positive side survives.  Every atom has 4 changes to choose from, so
+    # the widest change space here is 4**40.
+    lat = powerset_pq()
+    for cycles in ([(12, _HELD)], [(40, _HELD)], [(4, _HELD), (4, _DENIED)]):
+        rules, init, cand, change = [], {}, {}, {}
+        for c, (n, (start, revised, needed)) in enumerate(cycles):
+            atoms = tuple(f"x{c}_{k:02d}" for k in range(n))
+            rules += _cycle(atoms)
+            init.update(dict.fromkeys(atoms, start))
+            cand.update(dict.fromkeys(atoms, revised))
+            change.update(dict.fromkeys(atoms, needed))
+        p = old_program(lat, tuple(init), rules)
+        B_I = valuation(lat, init)
+        for prog in (p, tr1(p)):
+            for semantics in (MPT, FITTING):
+                (o,) = enumerate_revisions(prog, B_I, semantics)
+                assert o.candidate == valuation(lat, cand)
+                assert o.necessary_change == valuation(lat, change)
+                assert len(o.steps) == max(n for n, _ in cycles)
+                assert o == literal_justification(prog, B_I, o.candidate, semantics)
 
 
 def test_enumeration_exact_on_unit_chain():

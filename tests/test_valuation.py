@@ -264,7 +264,8 @@ def test_diff_and_transformable_match_full_pair_space_oracle(make):
         if rng.random() < 0.5:
             R = apply_change(B, PairValuation(lat, {a: rng.choice(space) for a in atoms}))
         ok = oracle_transformable(B, R)
-        assert transformable(B, R) == ok
+        # The literal definition of transformability is the reference.
+        assert transformable(B, R) == ok == (apply_change(B, diff(R, B)) == R)
         assert diff(R, B) == oracle_diff(R, B)
         reached += ok
     assert 0 < reached < 300
@@ -283,7 +284,7 @@ def test_diff_matches_oracle_on_every_one_atom_pair(make):
         for b in space:
             B = PairValuation(lat, {"a": b})
             ok = oracle_transformable(B, R)
-            assert transformable(B, R) == ok
+            assert transformable(B, R) == ok == (apply_change(B, diff(R, B)) == R)
             assert diff(R, B) == oracle_diff(R, B)
             reached += ok
     assert 0 < reached < len(space) ** 2
