@@ -18,25 +18,33 @@ decimal literals convert exactly on input and serialize as fractions.  The
 serializer emits a canonical form: atoms sorted, elements in their handle's
 element order, rules in source order.
 
-One ``findall`` of a compiled regular expression splits the text into plain
-token strings, with no positions; a recursive-descent parser reads them,
-with one loop for every ``{ item, ... }`` list and one for every
-``< x, y >`` pair.  A token's kind is read off its first character.  Only
-when an error is raised does ``_where`` scan the text again for the line
-and column of the token it names, so valid input never pays for positions.
-Each parser keeps a memo from the tokens of a ``< x, y >`` pair, of a
-``{ ... }`` set literal or of a numeral (``n`` or ``n / d``) to the value
-they gave, so a pair or annotation text that repeats across a document is
-read once; only a read that returned normally and consumed exactly those
-tokens is kept, so errors are raised as without it.
+The parser is a cursor over the text; no token list is built.  A
+recursive-descent reader lexes one token at the cursor at a time, with one
+loop for every ``{ item, ... }`` list and one for every ``< x, y >`` pair.
+The bulk of a document is read a construct at a time instead: each rule
+literal with the ``<-``, ``,`` or ``.`` after it, each valuation entry
+``atom = <x, y>.``, and each label list or set literal is one match of a
+compiled pattern, which allows blanks but no comment inside.  When a
+pattern does not match at the cursor, or what it matched does not check
+(an undeclared atom, a repeated name), the token-wise reads take over at
+the same offset: they read what the patterns leave out, such as a comment
+inside a pair, and raise the located error.  An error's line and column
+are those of the cursor's offset.  Before any error is raised the whole
+text is checked for a character that starts no token, and the first such
+character is reported instead.
 
-A program block builds no rule objects.  One reader serves the literals
-of every lattice kind and both syntaxes; it compares the tokens before an
-annotation in place and re-reads them through the checking reads only to
-raise an error.  Each rule is kept as a list of literals ``(atom,
-annotation, polarity)``, and ``Program._parsed`` takes the lists without
-checking them again: on a finite lattice it keeps them as pair codes and
-builds the rule objects on the first read of ``rules``.
+Each parser keeps a memo from the text of a ``< x, y >`` pair, of a ``{
+... }`` set literal, of a numeral (``n`` or ``n / d``) or of an element
+name to the value it gave, under the text as written and under the text
+with blanks and comments removed: an annotation text that repeats across
+a document is read once, token-wise at the offset where it first stands,
+and copies that differ only in blanks and comments share one value.
+
+A program block builds no rule objects.  Each rule is kept as a list of
+literals ``(atom, annotation, polarity)``, and ``Program._parsed`` takes
+the lists without checking them again: on a finite lattice it keeps them
+as pair codes and builds the rule objects on the first read of ``rules``.
+A valuation block goes to ``PairValuation._parsed`` the same way.
 
 ``_json_text`` writes every JSON report, byte for byte what
 ``json.dumps(obj, indent=2)`` writes, with one ``join`` per list of plain
@@ -95,122 +103,154 @@ class DslSemanticError(DslError):
     pass
 
 
-# Blanks and comments match with the group empty, which ``_lex`` drops;
-# the group's alternatives are a word, a number, an arrow and any other
-# single character, tried in order.  ``[^\W\d]`` also admits the numeric
-# characters that are not decimal digits (such as ``²``) as the first
-# character of a word, because ``\w`` does; ``_lex`` rejects those, so
-# identifiers start with a letter or ``_``.  ``\d`` is exactly the decimal
-# digits that ``int``, ``Fraction`` and ``str.isdecimal`` accept.
-_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|([^\W\d]\w*|\d+(?:\.\d+)?|<-|->|.)", re.DOTALL)
+# A token is a word, a number, an arrow or any other single character,
+# tried in order.  ``[^\W\d]`` also admits the numeric characters that are
+# not decimal digits (such as ``²``) as the first character of a word,
+# because ``\w`` does; ``_check_characters`` rejects those, so identifiers
+# start with a letter or ``_``.  ``\d`` is exactly the decimal digits that
+# ``int``, ``Fraction`` and ``str.isdecimal`` accept.
+_ID = r"[^\W\d]\w*"
+_TOKEN_TEXT = rf"{_ID}|\d+(?:\.\d+)?|<-|->|."
+# A comment runs to the end of its line: the lookahead keeps a match from
+# taking a shorter comment and reading the rest of the line as tokens.
+# Blanks and comments can be split into runs only one way, so a match that
+# fails after them backtracks through them in linear time.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+# Blanks and comments match with the group empty.
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(" + _TOKEN_TEXT + ")", re.DOTALL)
+# The token after any blanks and comments; the group is empty at the end.
+_NEXT = re.compile(_SKIP + "(" + _TOKEN_TEXT + ")?", re.DOTALL)
 _SYMBOLS = frozenset(["<-", "->", *"{}[]()<>,:;.=*/"])
+
+# Constructs read in one match.  Inside them only blanks may stand between
+# tokens, and each token must be one that the lexer would split off: a
+# number is not followed by more digits or by ``.digits``.
+_B = r"[ \t\r\n]*"
+_NUM = rf"\d+(?:\.\d+(?!\d)|(?!\d|\.\d)(?:{_B}/{_B}\d+(?!\d|\.\d))?)"
+# ``{ name, ... }``: a name is followed by a comma or by the closing brace.
+_SET = rf"\{{{_B}(?:{_ID}{_B}(?:,{_B}|(?=\}})))*\}}"
+_ELEM = rf"{_SET}|{_NUM}|{_ID}"
+_PAIR = rf"(<{_B}({_ELEM}){_B},{_B}({_ELEM}){_B}>)"
+# Groups: polarity, atom, annotation, the token after the literal.
+_OLD_LITERAL = re.compile(
+    rf"{_SKIP}(in|out){_B}\({_B}({_ID}){_B}\){_B}:{_B}({_ELEM}){_B}(<-|[,.])")
+# Groups: atom, pair, its two elements, the token after the literal.
+_NEW_LITERAL = re.compile(rf"{_SKIP}({_ID}){_B}:{_B}{_PAIR}{_B}(<-|[,.])")
+# Groups: atom, pair, its two elements.
+_ENTRY = re.compile(rf"{_SKIP}({_ID}){_B}={_B}{_PAIR}{_B}\.")
+_NAMES = re.compile(rf"{_SKIP}({_SET})")
 
 
 def _is_ident(tok):
     return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _lex(text):
-    """The token texts of ``text``, ending in the eof sentinel ``""``.  A
-    character that starts no token raises ``DslLexError`` at its line and
-    column; when there are several, the first in the text."""
-    tokens = list(filter(None, _TOKEN.findall(text)))
-    bad = {t for t in set(tokens)
-           if t not in _SYMBOLS and not t[0].isdecimal() and not _is_ident(t)}
-    if bad:
-        k = next(k for k, t in enumerate(tokens) if t in bad)
-        raise DslLexError(f"unexpected character {tokens[k][0]!r}", *_where(text, k))
-    tokens.append("")
-    return tokens
-
-
-def _where(text, k):
-    """Line and column of token ``k`` of ``text``, or of the end of the
-    text when ``k`` is the index of the eof sentinel.  Positions are only
-    needed for error messages, so they are found by a second scan."""
-    pos = len(text)
-    for m in _TOKEN.finditer(text):
-        if m.lastindex:
-            if not k:
-                pos = m.start()
-                break
-            k -= 1
+def _line_col(text, pos):
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
+def _check_characters(text):
+    """Raise ``DslLexError`` at the first character of ``text`` that starts
+    no token, if there is one."""
+    bad = {t for t in set(_TOKEN.findall(text))
+           if t and t not in _SYMBOLS and not t[0].isdecimal() and not _is_ident(t)}
+    if bad:
+        m = next(m for m in _TOKEN.finditer(text) if m.group(1) in bad)
+        raise DslLexError(f"unexpected character {m.group(1)[0]!r}",
+                          *_line_col(text, m.start(1)))
+
+
+def _match_names(p):
+    """The names of a ``{ name, ... }`` list at the cursor, read in one
+    match, and the offset after it; None when the list does not match or
+    a name in it is not an identifier (it starts with a numeric character
+    that is not a digit)."""
+    m = _NAMES.match(p.text, p.pos)
+    if m is None:
+        return None
+    s = m.group(1)
+    if not s.isascii() and not all(map(_is_ident, re.findall(_ID, s))):
+        return None
+    s = "".join(s[1:-1].split()).rstrip(",")
+    return s.split(",") if s else [], m.end()
+
+
 class _Parser:
-    """Cursor over the token texts of one input.  A token that an error
-    may point at later is remembered by its index ``i``."""
+    """Cursor over one input text.  ``pos`` is the offset the token at the
+    cursor is lexed from; once ``peek`` has lexed it, ``tok`` is its text
+    (``""`` at the end of the text), ``at`` its offset and ``nxt`` the
+    offset after it.  A token that an error may point at later is
+    remembered by its offset."""
 
     def __init__(self, text):
         self.text = text
-        self.toks = _lex(text)
-        self.i = 0
-        # Token slice of a pair, a set literal or a numeral -> its value.
+        self.pos = 0
+        self.tok = None
+        self.at = self.nxt = 0
+        # Text of a pair, a set literal, a numeral or an element name, as
+        # written and with blanks and comments removed -> its value.
         self.memo = {}
 
     def peek(self):
-        return self.toks[self.i]
+        t = self.tok
+        if t is None:
+            m = _NEXT.match(self.text, self.pos)
+            t = self.tok = m.group(1) or ""
+            self.nxt = m.end()
+            self.at = m.start(1) if t else self.nxt
+        return t
+
+    def where(self):
+        """The offset of the token at the cursor."""
+        self.peek()
+        return self.at
+
+    def skip_to(self, end):
+        """Move the cursor to offset ``end``, past what a match read."""
+        self.pos = end
+        self.tok = None
 
     def advance(self):
-        t = self.toks[self.i]
-        if t:
-            self.i += 1
+        t = self.peek()
+        self.pos = self.nxt
+        self.tok = None
         return t
 
     def at_sym(self, s):
-        return self.toks[self.i] == s
+        return self.peek() == s
 
     def at_ident(self, *names):
-        t = self.toks[self.i]
+        t = self.peek()
         return t in names if names else _is_ident(t)
 
     def expect_sym(self, s):
-        t = self.toks[self.i]
+        t = self.peek()
         if t != s:
             self.syntax_error(f"expected {s!r}, found {t or 'end of input'!r}")
-        self.i += 1
-        return t
+        return self.advance()
 
     def expect_ident(self, what="a name"):
-        t = self.toks[self.i]
+        t = self.peek()
         if not _is_ident(t):
             self.syntax_error(f"expected {what}, found {t or 'end of input'!r}")
-        self.i += 1
-        return t
+        return self.advance()
 
-    def through(self, close):
-        """The index just past the next ``close`` token, or None."""
-        try:
-            return self.toks.index(close, self.i) + 1
-        except ValueError:
-            return None
+    def memoized(self, start, value):
+        """The memo's value for the text from offset ``start`` to the
+        cursor, which a token-wise read has just read as ``value``; the
+        first value read for that text is kept."""
+        key = "".join(_TOKEN.findall(self.text, start, self.pos))
+        return self.memo.setdefault(key, value)
 
-    def memoized(self, j, read, lattice):
-        """``read(self, lattice)`` from the cursor, or its earlier result
-        when the tokens before index ``j`` were read before (no memo when
-        ``j`` is None).  A result is kept only when ``read`` consumed
-        exactly those tokens, so a hit is what reading again would return,
-        and every error is raised by the read that meets it, at its own
-        place."""
-        i = self.i
-        if j is None:
-            return read(self, lattice)
-        key = tuple(self.toks[i:j])
-        value = self.memo.get(key)
-        if value is not None:
-            self.i = j
-            return value
-        value = read(self, lattice)
-        if self.i == j:
-            self.memo[key] = value
-        return value
+    def syntax_error(self, msg, at=None):
+        self._raise(DslSyntaxError, msg, at)
 
-    def syntax_error(self, msg, k=None):
-        raise DslSyntaxError(msg, *_where(self.text, self.i if k is None else k))
+    def sem_error(self, msg, at=None):
+        self._raise(DslSemanticError, msg, at)
 
-    def sem_error(self, msg, k=None):
-        raise DslSemanticError(msg, *_where(self.text, self.i if k is None else k))
+    def _raise(self, error, msg, at):
+        _check_characters(self.text)
+        raise error(msg, *_line_col(self.text, self.where() if at is None else at))
 
 
 @dataclass
@@ -244,10 +284,14 @@ def _braced(p, item):
 
 def _parse_label_list(p):
     """Brace-enclosed comma-separated identifiers, order preserved."""
+    found = _match_names(p)
+    if found is not None and len(set(found[0])) == len(found[0]):
+        p.skip_to(found[1])
+        return tuple(found[0])
     seen = set()
 
     def label():
-        k = p.i
+        k = p.where()
         t = p.expect_ident()
         if t in seen:
             p.sem_error(f"duplicate name {t!r}", k)
@@ -257,6 +301,10 @@ def _parse_label_list(p):
 
 
 def _parse_set_literal(p):
+    found = _match_names(p)
+    if found is not None:
+        p.skip_to(found[1])
+        return frozenset(found[0])
     return frozenset(_braced(p, lambda: p.expect_ident("a label")))
 
 
@@ -264,7 +312,7 @@ def _parse_set_table(p):
     table = {}
 
     def entry():
-        at = p.i
+        at = p.where()
         k = _parse_set_literal(p)
         p.expect_sym(":")
         v = _parse_set_literal(p)
@@ -276,10 +324,10 @@ def _parse_set_table(p):
 
 
 def _parse_lattice(p, decl_at):
-    """The lattice after the ``lattice`` keyword at token ``decl_at``.  An
+    """The lattice after the ``lattice`` keyword at offset ``decl_at``.  An
     axiom failure is reported there; any other construction error at the
     kind token."""
-    at = p.i
+    at = p.where()
     t = p.expect_ident("a lattice kind")
     if t == "two":
         return TwoLattice()
@@ -303,23 +351,25 @@ def _parse_lattice(p, decl_at):
         make, args = LevelChain, (names,)
     elif t == "custom":
         p.expect_sym("{")
-        if p.expect_ident("'elements'") != "elements":
-            p.sem_error("custom lattice starts with an elements block", p.i - 1)
+
+        def block(name, message):
+            k = p.where()
+            if p.expect_ident(f"'{name}'") != name:
+                p.sem_error(message, k)
+        block("elements", "custom lattice starts with an elements block")
         names = _parse_label_list(p)
-        if p.expect_ident("'order'") != "order":
-            p.sem_error("expected an order block", p.i - 1)
+        block("order", "expected an order block")
 
         def cover():
             a = p.expect_ident("an element name")
             p.expect_sym("<")
             return a, p.expect_ident("an element name")
         pairs = _braced(p, cover)
-        if p.expect_ident("'complement'") != "complement":
-            p.sem_error("expected a complement block", p.i - 1)
+        block("complement", "expected a complement block")
         comp = {}
 
         def comp_entry():
-            k = p.i
+            k = p.where()
             a = p.expect_ident("an element name")
             p.expect_sym(":")
             b = p.expect_ident("an element name")
@@ -339,21 +389,11 @@ def _parse_lattice(p, decl_at):
         p.sem_error(str(e), at)
 
 
-def _read_set_element(p, lattice):
-    at = p.i
-    members = _parse_set_literal(p)
-    try:
-        return lattice.element(members)
-    except LatticeError as e:
-        p.sem_error(str(e), at)
-
-
-def _number(p, k, read):
-    """``read`` (``int`` or ``Fraction``) of token ``k``, a decimal numeral.
-    A numeral that ``int`` cannot read, or whose value's numerator or
-    denominator it cannot print, for having more digits than
+def _number(p, t, at, read):
+    """``read`` (``int`` or ``Fraction``) of ``t``, a decimal numeral at
+    offset ``at``.  A numeral that ``int`` cannot read, or whose value's
+    numerator or denominator it cannot print, for having more digits than
     ``sys.get_int_max_str_digits()``, is a located error."""
-    t = p.toks[k]
     # Interpreters before 3.10.7 have no digit limit.
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit and len(t) > limit:
@@ -362,24 +402,24 @@ def _number(p, k, read):
         except ValueError:
             value = None
         if value is None or max(value.numerator, value.denominator) >= 10 ** limit:
-            p.sem_error(f"number too long: more than {limit} digits", k)
+            p.sem_error(f"number too long: more than {limit} digits", at)
         return value
     return read(t)
 
 
 def _read_number(p, lattice):
-    at = p.i
+    at = p.where()
     t = p.advance()
     if "." in t:
-        value = _number(p, at, Fraction)
+        value = _number(p, t, at, Fraction)
     else:
-        value = _number(p, at, int)
+        value = _number(p, t, at, int)
         if p.at_sym("/"):
             p.advance()
             d = p.peek()
             if not d[:1].isdecimal() or "." in d:
                 p.syntax_error("expected an integer denominator")
-            den = _number(p, p.i, int)
+            den = _number(p, d, p.at, int)
             if den == 0:
                 p.sem_error("zero denominator")
             p.advance()
@@ -391,18 +431,21 @@ def _read_number(p, lattice):
 
 
 def _parse_element(p, lattice):
-    at = p.i
-    t = p.peek()
+    """One annotation, read token-wise."""
+    at = p.where()
+    t = p.tok
     if t == "{":
         if lattice.kind != "powerset":
             p.sem_error("set annotations need a powerset lattice")
-        return p.memoized(p.through("}"), _read_set_element, lattice)
+        members = _parse_set_literal(p)
+        try:
+            return p.memoized(at, lattice.element(members))
+        except LatticeError as e:
+            p.sem_error(str(e), at)
     if t[:1].isdecimal():
         if lattice.kind != "unit":
             p.sem_error("numeric annotations need the unit chain lattice")
-        # The tokens ``t`` or ``t / d``; the eof sentinel ``""`` follows
-        # ``t``, so ``at + 1`` is a token.
-        return p.memoized(at + (3 if p.toks[at + 1] == "/" else 1), _read_number, lattice)
+        return p.memoized(at, _read_number(p, lattice))
     if _is_ident(t):
         if lattice.kind == "powerset":
             p.sem_error("expected a label set in braces")
@@ -416,81 +459,110 @@ def _parse_element(p, lattice):
     p.syntax_error(f"expected an annotation, found {t or 'end of input'!r}")
 
 
+def _element(p, lattice, m, g):
+    """The element of annotation group ``g`` of match ``m``: the memo's
+    value for its text, or on a miss the token-wise read at its offset."""
+    s = m.group(g)
+    x = p.memo.get(s)
+    if x is None:
+        p.skip_to(m.start(g))
+        x = p.memo[s] = _parse_element(p, lattice)
+    return x
+
+
+def _pair(p, lattice, m, g):
+    """The pair of group ``g`` of match ``m``, whose elements are groups
+    ``g + 1`` and ``g + 2``, through the memo."""
+    s = m.group(g)
+    pv = p.memo.get(s)
+    if pv is None:
+        pv = PairValue(_element(p, lattice, m, g + 1), _element(p, lattice, m, g + 2))
+        pv = p.memo[s] = p.memo.setdefault("".join(s.split()), pv)
+    return pv
+
+
 def _expect_atom(p, uset):
     """An atom name that ``uset`` declares."""
+    at = p.where()
     name = p.expect_ident("an atom name")
     if name not in uset:
-        p.sem_error(f"undeclared atom {name!r}", p.i - 1)
+        p.sem_error(f"undeclared atom {name!r}", at)
     return name
 
 
 def _parse_pair(p, lattice):
-    """``< x , y >``: one evidence pair, read once per distinct text."""
-    return p.memoized(p.through(">"), _read_pair, lattice)
-
-
-def _read_pair(p, lattice):
+    """``< x , y >``, read token-wise."""
+    at = p.where()
     p.expect_sym("<")
     x = _parse_element(p, lattice)
     p.expect_sym(",")
     y = _parse_element(p, lattice)
     p.expect_sym(">")
-    return PairValue(x, y)
+    return p.memoized(at, PairValue(x, y))
 
 
 def _read_literal(p, lattice, uset, old):
-    """One head or body literal, on every lattice kind: ``(atom, ann,
+    """One head or body literal, read token-wise: ``(atom, ann,
     polarity)``.  ``in(a):x`` and ``out(a):x`` give the element ``x`` and
-    their polarity, ``a:<x, y>`` the pair and None.  The tokens before the
-    annotation are compared in place; each test reads one token past the
-    last, so none reads beyond the eof sentinel."""
-    toks, i = p.toks, p.i
+    their polarity, ``a:<x, y>`` the pair and None."""
     if old:
-        if not (toks[i] in (IN, OUT) and toks[i + 1] == "(" and toks[i + 2] in uset
-                and toks[i + 3] == ")" and toks[i + 4] == ":"):
-            _literal_error(p, uset, old)
-        p.i = i + 5
-        return toks[i + 2], _parse_element(p, lattice), toks[i]
-    if not (toks[i] in uset and toks[i + 1] == ":"):
-        _literal_error(p, uset, old)
-    p.i = i + 2
-    return toks[i], _parse_pair(p, lattice), None
-
-
-def _literal_error(p, uset, old):
-    """Raise the located error of a literal whose tokens before the
-    annotation (``in ( a ) :`` or ``a :``) are not all as expected: the
-    first read that meets a wrong token raises."""
-    if old:
-        t = p.expect_ident("'in' or 'out'")
-        if t not in (IN, OUT):
-            p.syntax_error(f"expected 'in' or 'out', found {t!r}", p.i - 1)
+        at = p.where()
+        pol = p.expect_ident("'in' or 'out'")
+        if pol not in (IN, OUT):
+            p.syntax_error(f"expected 'in' or 'out', found {pol!r}", at)
         p.expect_sym("(")
-        _expect_atom(p, uset)
+        atom = _expect_atom(p, uset)
         p.expect_sym(")")
-    else:
-        _expect_atom(p, uset)
+        p.expect_sym(":")
+        return atom, _parse_element(p, lattice), pol
+    atom = _expect_atom(p, uset)
     p.expect_sym(":")
+    return atom, _parse_pair(p, lattice), None
 
 
 def _parse_program(p, lattice, syntax, universe):
     """The program block, each rule a list of its literals, head first,
-    which ``Program._parsed`` takes without checking them again."""
+    which ``Program._parsed`` takes without checking them again.  A literal
+    is read in one match with the token after it where it can be, and
+    token-wise otherwise."""
     p.expect_sym("{")
     uset = set(universe)
     old = syntax == OLD
-    toks, rules = p.toks, []
-    while toks[p.i] != "}":
-        lits = [_read_literal(p, lattice, uset, old)]
-        p.expect_sym("<-")
-        while toks[p.i] != ".":
+    match = (_OLD_LITERAL if old else _NEW_LITERAL).match
+    text = p.text
+    # ``lits`` holds the literals read so far of the rule being read.
+    rules, lits = [], []
+    while True:
+        m = match(text, p.pos)
+        if m is not None:
+            if old:
+                pol, atom, _, sep = m.groups()
+            else:
+                (atom, _, _, _, sep), pol = m.groups(), None
+            # A head is followed by ``<-``, a body literal by ``,`` or ``.``.
+            if atom in uset and (sep == "<-") == (not lits):
+                ann = _element(p, lattice, m, 3) if old else _pair(p, lattice, m, 2)
+                lits.append((atom, ann, pol))
+                p.skip_to(m.end())
+                if sep == ".":
+                    rules.append(lits)
+                    lits = []
+                continue
+        # Token-wise: the block's end, or a literal and the token after it,
+        # or the end of a rule with an empty body or a trailing comma.
+        if not lits and p.at_sym("}"):
+            break
+        if not lits or not p.at_sym("."):
             lits.append(_read_literal(p, lattice, uset, old))
-            if toks[p.i] == ",":
-                p.i += 1
-            elif toks[p.i] != ".":
-                break
+            if len(lits) == 1:
+                p.expect_sym("<-")
+                continue
+            if p.at_sym(","):
+                p.advance()
+                continue
         p.expect_sym(".")
         rules.append(lits)
+        lits = []
     p.expect_sym("}")
     return Program._parsed(syntax, lattice, universe, rules)
 
@@ -499,21 +571,32 @@ def _parse_valuation(p, lattice, universe):
     p.expect_sym("{")
     uset = set(universe)
     entries = {}
-    while not p.at_sym("}"):
+    match, text = _ENTRY.match, p.text
+    while True:
+        m = match(text, p.pos)
+        if m is not None:
+            name = m.group(1)
+            if name in uset and name not in entries:
+                entries[name] = _pair(p, lattice, m, 2)
+                p.skip_to(m.end())
+                continue
+        if p.at_sym("}"):
+            break
+        at = p.where()
         name = _expect_atom(p, uset)
         if name in entries:
-            p.sem_error(f"duplicate entry for atom {name!r}", p.i - 1)
+            p.sem_error(f"duplicate entry for atom {name!r}", at)
         p.expect_sym("=")
         entries[name] = _parse_pair(p, lattice)
         p.expect_sym(".")
     p.expect_sym("}")
-    return PairValuation.build(lattice, universe, entries)
+    return PairValuation._parsed(lattice, universe, entries)
 
 
 def _perm_map(p, lattice, pairs, at):
     """Pair map from a name permutation: powerset lattices permute labels,
     other finite kinds permute elements; unlisted names stay fixed.  Errors
-    point at token ``at``."""
+    point at offset ``at``."""
     if isinstance(lattice, PowersetLattice):
         known = set(lattice.labels)
         for a, b in pairs.items():
@@ -543,7 +626,7 @@ def _perm_map(p, lattice, pairs, at):
 
 
 def _parse_iso_prim(p, lattice):
-    at = p.i
+    at = p.where()
     t = p.advance()
     if t == "id":
         return PairMap.identity(lattice)
@@ -552,7 +635,7 @@ def _parse_iso_prim(p, lattice):
     p.expect_sym("(")
     pairs = {}
     while True:
-        k = p.i
+        k = p.where()
         a = p.expect_ident("a name")
         p.expect_sym("->")
         b = p.expect_ident("a name")
@@ -579,14 +662,14 @@ def _parse_iso_expr(p, lattice):
 
 def _parse_iso_block(p, lattice, universe, iso_at):
     """The body of an ``iso`` block.  Without a ``*`` default every universe
-    atom needs its own entry; errors about coverage point at token
+    atom needs its own entry; errors about coverage point at offset
     ``iso_at``.  A default that no atom falls back on is dropped."""
     p.expect_sym("{")
     uset = set(universe)
     maps = {}
     default = None
     while not p.at_sym("}"):
-        at = p.i
+        at = p.where()
         if p.at_sym("*"):
             p.advance()
             key = None
@@ -629,8 +712,8 @@ def parse(text: str) -> Document:
     candidate = None
     iso = None
     while p.peek():
-        at = p.i
-        name = p.peek()
+        at = p.at
+        name = p.tok
         if not _is_ident(name):
             p.syntax_error(f"expected a declaration, found {name!r}")
         if name == "lattice":
@@ -644,9 +727,10 @@ def parse(text: str) -> Document:
             if program is not None:
                 p.sem_error("syntax declaration must precede the program")
             p.advance()
+            k = p.where()
             s = p.expect_ident("'old' or 'new'")
             if s not in (OLD, NEW):
-                p.sem_error(f"syntax must be 'old' or 'new', got {s!r}", p.i - 1)
+                p.sem_error(f"syntax must be 'old' or 'new', got {s!r}", k)
             syntax = s
         elif name == "universe":
             if universe is not None:
@@ -694,10 +778,11 @@ def parse_iso(text: str, lattice, universe) -> PairIso:
     """Parse a standalone isomorphism spec against an existing document's
     lattice and universe."""
     p = _Parser(text)
+    at = p.where()
     t = p.expect_ident("'iso'")
     if t != "iso":
-        p.syntax_error(f"expected an iso block, found {t!r}", 0)
-    iso = _parse_iso_block(p, lattice, universe, 0)
+        p.syntax_error(f"expected an iso block, found {t!r}", at)
+    iso = _parse_iso_block(p, lattice, universe, at)
     if p.peek():
         p.syntax_error(f"unexpected trailing input {p.peek()!r}")
     return iso

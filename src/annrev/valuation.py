@@ -60,6 +60,18 @@ class PairValuation:
         return cls(lattice, base)
 
     @classmethod
+    def _parsed(cls, lattice, universe, entries):
+        """``build`` of the parser's entries, whose atoms and pairs it has
+        checked: they are merged into the bottom valuation once and not
+        checked again."""
+        self = cls.__new__(cls)
+        self.lattice = lattice
+        self._vals = dict.fromkeys(universe, bot_pair(lattice))
+        self._vals.update(entries)
+        self._atoms = tuple(sorted(self._vals))
+        return self
+
+    @classmethod
     def bottom(cls, lattice, universe):
         return cls.build(lattice, universe)
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 import time
@@ -18,6 +19,7 @@ from annrev import (
     MPT,
     NEW,
     Document,
+    DslError,
     PairValuation,
     PairValue,
     PowersetLattice,
@@ -25,6 +27,8 @@ from annrev import (
     is_justified_revision,
     lattice,
     necessary_change,
+    parse,
+    parse_iso,
     serialize,
 )
 from annrev.cli import build_parser, main
@@ -448,13 +452,9 @@ _FUZZ_ARGS = (["validate"], ["nc"], ["check"], ["verify", "--semantics", "both"]
               ["diff"])
 
 
-@st.composite
-def _mutated_fixture(draw):
-    """The text of a fixture after one to three edits, each deleting or
-    duplicating a span of up to 12 characters or putting in a piece."""
-    fixtures = sorted(FIXTURES.glob("*.arp")) + sorted(FIXTURES.glob("kinds/*.arp"))
-    path = draw(st.sampled_from(fixtures))
-    text = path.read_text(encoding="utf-8")
+def _mutated(draw, text, pieces):
+    """``text`` after one to three edits, each deleting or duplicating a
+    span of up to 12 characters or putting in one of ``pieces``."""
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 12)))
@@ -464,19 +464,107 @@ def _mutated_fixture(draw):
         elif op == "duplicate":
             text = text[:j] + text[i:j] + text[j:]
         else:
-            text = text[:i] + draw(st.sampled_from(_PIECES)) + text[i:]
+            text = text[:i] + draw(st.sampled_from(pieces)) + text[i:]
     return text
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """The text of a fixture after one to three edits."""
+    fixtures = sorted(FIXTURES.glob("*.arp")) + sorted(FIXTURES.glob("kinds/*.arp"))
+    path = draw(st.sampled_from(fixtures))
+    return _mutated(draw, path.read_text(encoding="utf-8"), _PIECES)
+
+
+# The errors that name no place in a document: a block it lacks, or one
+# that a command needs and the document does not have.
+_UNLOCATED = re.compile(r"missing (?:lattice|universe) declaration|missing program block"
+                        r"|\w+ needs an? \w+ block")
+
+
+def _assert_located(error):
+    """``error`` names a line and a column, unless no place is at fault."""
+    if error.line is None:
+        assert _UNLOCATED.fullmatch(str(error)), str(error)
+    else:
+        assert re.match(r"line [1-9]\d*, col [1-9]\d*: ", str(error)), str(error)
+
+
+def _main(argv):
+    """``(exit status, stdout, stderr)`` of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
 @given(_mutated_fixture())
 def test_mutated_fixtures_exit_0_1_or_2_on_every_command(text):
     # Whatever a command makes of a damaged document, it answers with an
-    # exit status; no exception escapes ``main``.
+    # exit status; no exception escapes ``main``.  A document that does not
+    # parse exits 2 on every command with the parse error, which names its
+    # line and column unless a whole block is missing; so does an error in
+    # the iso file that ``shift`` reads against the document.
+    try:
+        doc, error = parse(text), None
+    except DslError as e:
+        doc, error = None, e
+        _assert_located(e)
+    if doc is not None:
+        try:
+            parse_iso((FIXTURES / "shift_cex.iso").read_text(encoding="utf-8"),
+                      doc.lattice, doc.universe)
+        except DslError as e:
+            _assert_located(e)
     with tempfile.TemporaryDirectory() as tmp:
-        doc = Path(tmp) / "doc.arp"
-        doc.write_text(text, encoding="utf-8")
+        path = Path(tmp) / "doc.arp"
+        path.write_text(text, encoding="utf-8")
         for args in _FUZZ_ARGS:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert main([args[0], str(doc), *args[1:]]) in (0, 1, 2)
+            code, _, err = _main([args[0], path, *args[1:]])
+            assert code in (0, 1, 2)
+            if error is not None:
+                assert (code, err) == (2, f"error: {error}\n")
+
+
+# Isomorphism specs to mutate, each with the document that ``shift`` reads
+# it against; the grid's spec is the iso block of its own document.
+_ISO_CASES = (
+    ("shift_cex.arp", (FIXTURES / "shift_cex.iso").read_text(encoding="utf-8")),
+    ("kinds/grid3x3.arp", (FIXTURES / "kinds/grid3x3.arp").read_text(
+        encoding="utf-8").partition("\niso ")[2].join(("iso ", ""))),
+    ("kinds/chain5.arp", "iso {\n  a: id;\n  *: swap;\n}\n"),
+)
+_ISO_PIECES = ("iso", "{", "}", "*", ":", ";", "id", "swap", "perm", "(", ")", "->", "<-",
+               ",", "a", "b", "z", "p", "q", "r", "x0y1", "x1y0", "low", "mid", " ", "\n",
+               "#", "@", "²", "perm(p->q)", "perm(q->r, r->q)")
+
+
+@st.composite
+def _mutated_iso(draw):
+    name, text = draw(st.sampled_from(_ISO_CASES))
+    return name, _mutated(draw, text, _ISO_PIECES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_iso())
+def test_mutated_iso_texts_exit_0_or_2_through_shift(case):
+    # A damaged spec is a located input error, exit status 2, and never a
+    # traceback; a spec that still parses shifts the document.
+    name, text = case
+    doc = parse((FIXTURES / name).read_text(encoding="utf-8"))
+    try:
+        parse_iso(text, doc.lattice, doc.universe)
+        error = None
+    except DslError as e:
+        error = e
+        assert e.line is not None, str(e)
+        _assert_located(e)
+    with tempfile.TemporaryDirectory() as tmp:
+        iso = Path(tmp) / "spec.iso"
+        iso.write_text(text, encoding="utf-8")
+        code, out, err = _main(["shift", FIXTURES / name, "--iso", iso])
+    if error is None:
+        assert code == 0 and out
+    else:
+        assert (code, out, err) == (2, "", f"error: {error}\n")

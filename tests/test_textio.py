@@ -1,13 +1,17 @@
 """Parsing, serialization, and round trips."""
 
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annrev import (
@@ -32,20 +36,23 @@ from annrev import (
     serialize,
 )
 from annrev.textio import (
-    _TOKEN,
+    _Parser,
+    _check_characters,
     _json_text,
-    _lex,
-    _where,
+    _line_col,
     outcome_to_json,
+    serialize_document,
     revisions_to_json,
     valuation_to_json,
 )
 from helpers import (
     Token,
     chain4,
+    chain_product,
     deep_chain_program,
     oracle_lex,
     powerset_pq,
+    powerset_pqr_custom,
     random_new_program,
     random_old_program,
     random_valuation,
@@ -310,34 +317,21 @@ def _kind(tok):
     return "ident" if tok[0].isalpha() or tok[0] == "_" else "sym"
 
 
-def _positions(text):
-    """Line and column of every token of ``text`` and of its end, from one
-    walk over the token matches."""
-    starts = [m.start() for m in _TOKEN.finditer(text) if m.lastindex]
-    out, line, bol, prev = [], 1, 0, 0
-    for pos in starts + [len(text)]:
-        line += text.count("\n", prev, pos)
-        bol = text.rfind("\n", prev, pos) + 1 or bol
-        out.append((line, pos - bol + 1))
-        prev = pos
-    return out
-
-
-def _lex_result(text, every_token=False):
-    """``(kind, text, line, col)`` per token of ``textio._lex``, or the text
-    of its ``DslLexError``.  Positions come from ``_positions``; ``_where``
-    must agree with it on every token when ``every_token`` is set, and on
-    the first, last and eof tokens otherwise."""
+def _lex_result(text):
+    """``(kind, text, line, col)`` per token that the parser's cursor lexes
+    from ``text``, up to and with the eof token, or the text of the
+    ``DslLexError`` that the whole-text character check raises."""
     try:
-        tokens = _lex(text)
+        _check_characters(text)
     except DslLexError as e:
         return str(e)
-    where = _positions(text)
-    assert len(where) == len(tokens)
-    eof = len(tokens) - 1
-    for k in range(len(tokens)) if every_token else {0, max(eof - 1, 0), eof}:
-        assert _where(text, k) == where[k]
-    return [Token(_kind(t), t, *w) for t, w in zip(tokens, where)]
+    p, out = _Parser(text), []
+    while True:
+        t = p.peek()
+        out.append(Token(_kind(t), t, *_line_col(text, p.at)))
+        if not t:
+            return out
+        p.advance()
 
 
 def _oracle_result(text):
@@ -347,8 +341,8 @@ def _oracle_result(text):
         return str(e)
 
 
-def _assert_lexes_like_oracle(text, every_token=False):
-    got, want = _lex_result(text, every_token), _oracle_result(text)
+def _assert_lexes_like_oracle(text):
+    got, want = _lex_result(text), _oracle_result(text)
     if got != want and isinstance(got, list) and isinstance(want, list):
         # The oracle does not advance the column over a comment, so its
         # eof after a final comment with no newline sits at the '#'.
@@ -367,7 +361,7 @@ def test_lexer_matches_character_oracle():
     pieces = [chr(c) for c in range(128)] + [
         "é", "٣", " ", "\n", "#", "<-", "->", "1.5", "in(a)", "0.", "x_1"]
     for text in docs:
-        _assert_lexes_like_oracle(text, every_token=True)
+        _assert_lexes_like_oracle(text)
         _assert_lexes_like_oracle(text.rstrip("\n") + "  # trailing comment")
     for _ in range(20000):
         _assert_lexes_like_oracle(
@@ -377,6 +371,112 @@ def test_lexer_matches_character_oracle():
         k = rng.randrange(len(text) + 1)
         _assert_lexes_like_oracle(
             text[:k] + rng.choice(pieces) + text[k + rng.randint(0, 3):])
+
+
+# A token, or a comment, which respacing leaves whole.  The split follows
+# the document language's tokens but is written out here on its own.
+_SPAN = re.compile(r"#[^\n]*|[^\W\d]\w*|\d+(?:\.\d+)?|<-|->|\S")
+_GAPS = (" ", "\t", "\n", "\n\n    ", " # a comment\n", "#\n", "  #{<,>}.\n  ")
+
+
+def _respaced(text, rng, rate):
+    """``text`` with a blank, a line break or a comment put in at a share
+    ``rate`` of its token boundaries, inside literals, pairs and numerals
+    too; the tokens stay the same."""
+    cuts = sorted({i for m in _SPAN.finditer(text) if m.group()[0] != "#" for i in m.span()})
+    out, prev = [], 0
+    for i in cuts:
+        if rng.random() < rate:
+            out += (text[prev:i], rng.choice(_GAPS))
+            prev = i
+    out.append(text[prev:])
+    return "".join(out)
+
+
+def _generated_texts(rng):
+    """A random document in each syntax on every lattice kind, with some
+    unit-chain fractions written as decimals."""
+    for lat in (TwoLattice(), chain4(), powerset_pq(), powerset_pqr_custom(),
+                chain_product(3, 3), UnitChain()):
+        els = unit_quarters(lat) if lat.kind == "unit" else None
+        atoms = ("a", "b", "c")
+        for syntax, gen in ((OLD, random_old_program), (NEW, random_new_program)):
+            p = gen(rng, lat, atoms, 6, els=els)
+            text = serialize_document(Document(
+                lat, syntax, atoms, p, random_valuation(rng, lat, atoms, els=els),
+                random_valuation(rng, lat, atoms, els=els)))
+            yield re.sub(r"(\d+)/(\d+)", lambda m: rng.choice(
+                (m.group(), str(int(m.group(1)) / int(m.group(2))))), text)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_blanks_and_comments_between_tokens_change_nothing(seed):
+    # The parser reads most of a document a construct at a time and falls
+    # back to token-wise reads where a comment stands inside one; either
+    # way the document is the same.
+    rng = random.Random(seed)
+    fixtures = sorted(FIXTURES.glob("*.arp")) + sorted(FIXTURES.glob("kinds/*.arp"))
+    texts = [p.read_text(encoding="utf-8") for p in fixtures] + list(_generated_texts(rng))
+    for text in texts:
+        want = parse(text)
+        for rate in (0.1, 0.5, 1.0):
+            got = parse(_respaced(text, rng, rate))
+            assert serialize_document(got) == serialize_document(want)
+            assert (serialize(necessary_change(got.program))
+                    == serialize(necessary_change(want.program)))
+
+
+def test_a_comment_hides_the_rest_of_its_line():
+    # A construct read in one match must not end a comment early and read
+    # the rest of its line as tokens.
+    pq = "lattice powerset { p, q }\nuniverse { a, b }\n"
+    for text, message in [
+            (pq + "program {\n  in(a):{q} <- #in(a):{q}.\n}\n",
+             "line 5, col 1: expected 'in' or 'out', found '}'"),
+            ("lattice two\nuniverse #{ a }\nprogram { }\n",
+             "line 3, col 1: expected '{', found 'program'")]:
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+    doc = parse("lattice powerset { p, q }\nsyntax new\nuniverse { a, b }\nprogram {\n"
+                "  a:<{p}, {q}> <- #b:<{p}, {}>.\n  .\n}\n"
+                "init {\n  a = <{p}, {q}>.\n  #b = <{p}, {}>.\n}\n")
+    assert [str(r) for r in doc.program.rules] == ["a:<{p},{q}> <- ."]
+    assert repr(doc.init["b"]) == "<{}, {}>"
+    doc = parse("lattice chain unit\nuniverse { a }\n"
+                "program { in(a):1 <- #in(a):1/2.\n in(a):1/2, in(a):0.5.\n}\n")
+    assert [str(r) for r in doc.program.rules] == ["in(a):1 <- in(a):1/2, in(a):1/2."]
+
+
+_LONG_GAPS = r'''
+import sys, time
+from annrev.textio import parse
+gaps = [" " * 200, "\r\n\t " * 50, "   # note\r\n  " * 15]
+t0 = time.perf_counter()
+for g in gaps:
+    for text in [
+            "lattice two\nuniverse { a }\nprogram {\n  in(a):t <-" + g + ".\n" + g + "}\n"
+            "init {\n  a = <f," + g + "t>.\n" + g + "}\n",
+            "lattice powerset { p, q }\nsyntax new\nuniverse { a }\nprogram {\n"
+            "  a:<{p" + g + "}, {}> <-" + g + ".\n" + g + "}\ninit {" + g + "}\n",
+            "lattice chain unit\nuniverse { a }\nprogram {\n  in(a):1" + g + "/ 2 <-"
+            + g + "in(a):1 / 2" + g + ",\n" + g + ".\n" + g + "}\n"]:
+        parse(text)
+print(time.perf_counter() - t0)
+'''
+
+
+def test_long_runs_of_blanks_and_comments_parse_in_linear_time():
+    # The one-match patterns are expected to fail before every ``}`` and
+    # before the ``.`` of an empty body; a pattern that could split a run of
+    # blanks several ways would backtrack through every split, 2**n of them
+    # for n blanks.  A child process, so that a regression fails the test
+    # instead of hanging it.
+    src = str(Path(parse.__code__.co_filename).parents[1])
+    out = subprocess.run([sys.executable, "-c", _LONG_GAPS], capture_output=True, text=True,
+                         timeout=60, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert float(out.stdout) < 2.0
 
 
 _HEAD = "lattice two\nuniverse { a }\n"
