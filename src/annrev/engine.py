@@ -20,12 +20,11 @@ lookup per side, and the mpt reduct weakens a body annotation ``b`` to
 pair codes in universe order, and the compiled form of a rule is a
 ``(head_atom, head_code, body)`` tuple at its source index, atoms
 numbered in universe order and the body a tuple of ``(atom, code)``.
-Each call compiles its program.  A program parsed over a finite lattice
-already holds its pair codes, so compiling it only numbers its atoms.
-Any other program is encoded from its rule objects on each call: on the
-unit chain, the codes depend on the call's values.  Elements, pair
-values, valuations and outcomes are the API boundary: a call encodes its
-inputs once and decodes each value it returns once.
+Each call compiles its program's literals with one encoder
+(``syntax._encode_rules``), whoever built the program; on the unit chain
+the codes depend on the call's values.  Elements, pair values,
+valuations and outcomes are the API boundary: a call encodes its inputs
+once and decodes each value it returns once.
 
 One step function serves ``tp``, ``tp_heads``, ``tpb`` and both model
 checks, and one least-fixpoint loop serves ``necessary_change`` and the
@@ -44,8 +43,8 @@ not yet dropped bound every revision below a search node, and those
 bounds decide rules before the search branches on one.
 
 ``reduct`` and ``f_reduct`` build the reducts literally, as rule objects.
-Both rule syntaxes reach this module as pair codes, which the parser
-records, or through the annotated atoms' ``atom`` and ``pair``
+Both rule syntaxes reach this module as pair codes, which ``syntax``
+encodes, or through the annotated atoms' ``atom`` and ``pair``
 (``in(a):x`` is ``<x, bot>``, ``out(a):x`` is ``<bot, x>``), and the
 reducts rewrite an annotation through ``with_pair``, so nothing here
 reads the polarity of a revision atom.
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .lattice import LatticeMismatchError, UnsupportedOperationError, pcomp_pair
-from .syntax import OLD, Program
+from .syntax import OLD, Program, _encode_rules
 from .valuation import PairValuation, TValuation, satisfies, theta, theta_inv
 
 MPT = "mpt"
@@ -85,31 +84,17 @@ def _check_compatible(p, *valuations):
 
 
 def _compile(p: Program, *valuations):
-    """The call's codec and compiled rules.
+    """The call's codec and compiled rules (``syntax._encode_rules``).
 
     Rule ``i`` becomes ``rules[i] = (head_atom, head_code, body)``, the
     body a tuple of ``(atom, code)``; satisfaction, the one-step operator,
     and both reducts agree with the literal definitions under this
-    encoding.  Atoms are numbered here, by universe position, for either
-    form of program.  A parsed program on a finite lattice carries its
-    pair codes (``Program._codes``), read as they are, with the lattice's
-    fixed codec.  Any other program is encoded from its rule objects, each
-    literal's ``atom`` and ``pair`` read once, with a codec that covers
-    the rules' annotations and the values of ``valuations``; only the unit
-    chain reads them, so its codes are the call's own."""
-    index = {a: k for k, a in enumerate(p.universe)}
-    if p._codes is not None:
-        rules = [(index[ha], hc, tuple([(index[a], c) for a, c, _ in body]))
-                 for (ha, hc, _), body in p._codes]
-        return p.lattice.codec(), rules
-    literals = [a.pair for r in p.rules for a in (r.head, *r.body)]
-    pairs = chain(literals, (pv for v in valuations for _, pv in v.items()))
-    codec = p.lattice.codec(e for pv in pairs for e in (pv.pos, pv.neg))
-    codes = map(codec.pair, literals)  # consumed in literal order, as built
-    rules = [(index[r.head.atom], next(codes),
-              tuple((index[b.atom], next(codes)) for b in r.body))
-             for r in p.rules]
-    return codec, rules
+    encoding.  A finite lattice has one codec; the unit chain's covers the
+    rules' annotations and the values of ``valuations``, so its codes are
+    the call's own."""
+    values = (e for v in valuations for _, pv in v.items() for e in (pv.pos, pv.neg))
+    codec = p.lattice.codec(chain(p._annotations(), values))
+    return codec, _encode_rules(codec, p)
 
 
 def _encode(codec, v):

@@ -5,11 +5,11 @@ single lattice elements; pair-annotation rules annotate atoms directly with
 evidence pairs.  Both annotated-atom classes expose the one encoding that
 relates them: ``in(a):x`` is the pair ``<x, bot>`` on ``a`` and
 ``out(a):x`` the pair ``<bot, x>``.  Every consumer reads ``atom`` and
-``pair`` and rewrites an annotation through ``with_pair``, and a parsed
-program's pair codes are encoded here too (``Program._parsed``), so no
-other module maps a polarity to a side.  Structural transformations
-connect the two syntaxes and embed unannotated revision rules over the
-two-valued lattice.
+``pair`` and rewrites an annotation through ``with_pair``, and the
+engine's pair codes of a program's literals are encoded here too
+(``_encode_rules``), so no other module maps a polarity to a side.
+Structural transformations connect the two syntaxes and embed
+unannotated revision rules over the two-valued lattice.
 """
 
 from __future__ import annotations
@@ -141,77 +141,70 @@ class Program:
     mentioned by rules must belong to the universe so that valuations stay
     total mappings.
 
-    A program holds its rules in one of two forms.  The constructor takes
-    rule objects and checks them; the engine encodes them on each call.
-    On a finite lattice the parser hands over its checked literals instead
-    (``_parsed``), and the program keeps them as pair codes: rule ``i`` of
-    ``_codes`` is ``(head, body)``, each literal ``(atom, pair_code,
-    polarity)``, the polarity ``in`` or ``out`` in revision-atom syntax and
-    None in pair syntax.  The engine reads those codes as they are.
-    ``_literals[i]`` keeps the parser's literals ``(atom, annotation,
-    polarity)`` of rule ``i``, head first, and ``rules`` builds the rule
-    objects from them on its first read.  Every slot is set by the
-    constructors, and ``_rules`` is only ever filled: building is
-    deterministic and the tuple immutable, so concurrent first reads may
-    each build it, and every reader sees equal rules.
+    A program holds its rules in one form, ``_literals``: rule ``i`` is a
+    tuple of literals ``(atom, annotation, polarity)``, head first, the
+    polarity ``in`` or ``out`` in revision-atom syntax and None in pair
+    syntax.  The constructor checks rule objects and records their
+    literals; the parser hands over literals it has checked (``_parsed``).
+    Both keep the first rule of each literal tuple: equal tuples are equal
+    rules, and ``in(a):bot`` and ``out(a):bot`` stay apart.  Length,
+    equality, hashing and ``+`` read the literals, the engine encodes them
+    on each call (``_encode_rules``), and ``rules`` is the constructor's
+    rule objects or, for a parsed program, built from the literals on its
+    first read.  Every slot is set by the constructors, and ``_rules`` is
+    only ever filled: building is deterministic and the tuple immutable,
+    so concurrent first reads may each build it, and every reader sees
+    equal rules.
     """
 
-    __slots__ = ("syntax", "lattice", "universe", "_rules", "_codes", "_literals")
+    __slots__ = ("syntax", "lattice", "universe", "_rules", "_literals")
 
     def __init__(self, syntax, lattice, universe, rules):
         if syntax not in (OLD, NEW):
             raise ValueError(f"syntax must be {OLD!r} or {NEW!r}, got {syntax!r}")
         universe = tuple(sorted(set(universe)))
         uset = set(universe)
-        rules = tuple(rules)
-        want = OldRule if syntax == OLD else NewRule
+        old = syntax == OLD
+        want = OldRule if old else NewRule
+        kept = {}
         for r in rules:
             if not isinstance(r, want):
                 raise TypeError(f"{syntax} program cannot hold a {type(r).__name__}")
-            for a in (r.head,) + r.body:
+            lits = []
+            for a in (r.head, *r.body):
                 atom = a.atom
                 if atom not in uset:
                     raise ValueError(f"atom {atom!r} not in the declared universe")
                 if a.ann.lattice is not lattice:
                     raise LatticeMismatchError(
                         f"annotation on {atom!r} comes from a different lattice")
+                lits.append((atom, a.ann, a.ratom.polarity if old else None))
+            kept.setdefault(tuple(lits), r)
         self.syntax = syntax
         self.lattice = lattice
         self.universe = universe
-        self._rules = tuple(dict.fromkeys(rules))
-        self._codes = self._literals = None
+        self._literals = tuple(kept)
+        self._rules = tuple(kept.values())
 
     @classmethod
     def _parsed(cls, syntax, lattice, universe, rules):
-        """A program of the parser's rules, each a list of literals
-        ``(atom, annotation, polarity)``, head first, whose atoms and
-        annotations the parser has checked; the polarity is None in pair
-        syntax.  Nothing is checked again.  On a finite lattice the
-        program keeps the code form, one entry per distinct rule.  On the
-        unit chain, whose codes each engine call derives from its own
-        values, it builds the rule objects."""
+        """A program of rules given as lists of literals ``(atom,
+        annotation, polarity)``, head first, whose atoms and annotations
+        are checked already, by the parser or as another program's.
+        Nothing is checked again."""
         self = cls.__new__(cls)
         self.syntax = syntax
         self.lattice = lattice
         self.universe = tuple(sorted(universe))
-        if not lattice.is_finite:
-            self._rules = tuple(dict.fromkeys([_build_rule(syntax, lits) for lits in rules]))
-            self._codes = self._literals = None
-            return self
-        codec = lattice.codec()
-        encode, pair, width = codec.encode, codec.pair, codec.width
-        kept = {}
-        for lits in rules:
-            # ``in(a):x`` is ``<x, bot>`` and ``out(a):x`` is ``<bot, x>``.
-            codes = [(a, pair(x) if pol is None else encode(x) << width if pol == OUT
-                      else encode(x), pol) for a, x, pol in lits]
-            # Two rules are equal exactly when their codes and polarities
-            # are: ``in(a):bot`` and ``out(a):bot`` share the code 0.
-            kept.setdefault((codes[0], tuple(codes[1:])), lits)
+        self._literals = tuple(dict.fromkeys(map(tuple, rules)))
         self._rules = None
-        self._codes = tuple(kept)
-        self._literals = tuple(kept.values())
         return self
+
+    def _annotations(self):
+        """The elements the rules' annotations name, repeats included."""
+        if self.syntax == OLD:
+            return (x for lits in self._literals for _, x, _ in lits)
+        return (e for lits in self._literals for _, pv, _ in lits for e in (pv.pos, pv.neg))
 
     @property
     def rules(self):
@@ -226,14 +219,13 @@ class Program:
         if not isinstance(other, Program):
             return NotImplemented
         return (self.syntax == other.syntax and self.lattice is other.lattice
-                and self.universe == other.universe and self.rules == other.rules)
+                and self.universe == other.universe and self._literals == other._literals)
 
     def __hash__(self):
-        return hash((self.syntax, id(self.lattice), self.universe, self.rules))
+        return hash((self.syntax, id(self.lattice), self.universe, self._literals))
 
     def __len__(self):
-        """The rule count, read off whichever form the program holds."""
-        return len(self._codes if self._rules is None else self._rules)
+        return len(self._literals)
 
     def __iter__(self):
         return iter(self.rules)
@@ -246,20 +238,35 @@ class Program:
             raise LatticeMismatchError("programs over different lattices")
         if other.syntax != self.syntax or other.universe != self.universe:
             raise ValueError("programs must share syntax and universe")
-        return Program(self.syntax, self.lattice, self.universe, self.rules + other.rules)
+        return Program._parsed(self.syntax, self.lattice, self.universe,
+                               self._literals + other._literals)
 
     def __repr__(self):
         return f"Program({self.syntax}, {len(self)} rules over {self.universe})"
 
 
 def _build_rule(syntax, lits):
-    """The rule object of the parser's literals ``(atom, annotation,
-    polarity)``, head first."""
+    """The rule object of the literals ``(atom, annotation, polarity)``,
+    head first."""
     if syntax == OLD:
         atoms = [AnnotatedRevisionAtom(RevisionAtom(pol, a), x) for a, x, pol in lits]
         return OldRule(atoms[0], tuple(atoms[1:]))
     atoms = [PairAnnotatedAtom(a, x) for a, x, _ in lits]
     return NewRule(atoms[0], tuple(atoms[1:]))
+
+
+def _encode_rules(codec, p):
+    """The engine's form of ``p``'s rules under ``codec``: rule ``i``
+    becomes ``(head_atom, head_code, body)``, the body a tuple of ``(atom,
+    code)`` and atoms numbered by universe position.  A pair annotation
+    has its pair code; ``in(a):x`` is ``<x, bot>``, the element's code, and
+    ``out(a):x`` is ``<bot, x>``, that code shifted to the negative side."""
+    index = {a: k for k, a in enumerate(p.universe)}
+    code = codec.pair if p.syntax == NEW else codec.encode
+    shift = {None: 0, IN: 0, OUT: codec.width}
+    return [(index[ha], code(hx) << shift[hp],
+             tuple([(index[a], code(x) << shift[pol]) for a, x, pol in body]))
+            for (ha, hx, hp), *body in p._literals]
 
 
 def join_transform(p: Program) -> Program:

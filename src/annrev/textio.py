@@ -42,9 +42,9 @@ and copies that differ only in blanks and comments share one value.
 
 A program block builds no rule objects.  Each rule is kept as a list of
 literals ``(atom, annotation, polarity)``, and ``Program._parsed`` takes
-the lists without checking them again: on a finite lattice it keeps them
-as pair codes and builds the rule objects on the first read of ``rules``.
-A valuation block goes to ``PairValuation._parsed`` the same way.
+the lists without checking them again, as the program's one rule form;
+the rule objects are built on the first read of ``rules``.  A valuation
+block goes to ``PairValuation._parsed`` the same way.
 
 ``_json_text`` writes every JSON report, byte for byte what
 ``json.dumps(obj, indent=2)`` writes, with one ``join`` per list of plain

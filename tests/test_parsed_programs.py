@@ -1,11 +1,11 @@
 """Programs the parser builds against programs built from rule objects.
 
-On a finite lattice the parser hands ``Program`` pair codes, deduplicated
-on those codes, and the rule objects are built only when ``rules`` is
+The parser hands ``Program`` its rules as literal lists, deduplicated on
+those literals, and the rule objects are built only when ``rules`` is
 read.  The programs here are generated as literal descriptions, written
 out as text with varied spellings and repeated rules, and parsed.  The
 same descriptions also become rule objects through the ``Program``
-constructor, which compiles per call and is the reference.
+constructor, which is the reference.
 """
 
 import contextlib
@@ -147,8 +147,8 @@ def test_parsed_programs_agree_with_constructed_ones(drawn):
     doc = parse(text)
     program, built = doc.program, _reference(doc.lattice, syntax, atoms, rules)
     n = len(program)
-    # The engine reads the parsed codes before any rule object exists; the
-    # constructed program is compiled per call from its rule objects.
+    # The engine encodes the parsed literals before any rule object exists;
+    # the constructed program records the literals of its rule objects.
     assert necessary_change(program) == necessary_change(built)
     for target in (doc.init, doc.candidate):
         assert model_status(program, target) == model_status(built, target)
@@ -158,6 +158,7 @@ def test_parsed_programs_agree_with_constructed_ones(drawn):
         assert (got.verified, got.necessary_change, got.steps) == (
             want.verified, want.necessary_change, want.steps)
     assert len(built) == n
+    assert program._literals == built._literals
     assert program == built
     rebuilt = Program(doc.syntax, doc.lattice, doc.universe, program.rules)
     assert program == rebuilt and len(rebuilt) == n
@@ -170,13 +171,22 @@ def test_parsed_programs_agree_with_constructed_ones(drawn):
 
 def test_old_syntax_rules_differing_only_in_polarity_stay_distinct():
     # ``in(a):bot`` and ``out(a):bot`` have the same pair code, 0, so the
-    # parser's dedup also keys on the polarity.
-    doc = parse("lattice two\nuniverse { a }\nprogram {\n"
-                "  in(a):f <- .\n  out(a):f <- .\n  in(a):f <- in(a):f.\n"
-                "  in(a):f <- out(a):f.\n  out(a):f <- .\n}\n")
-    assert len(doc.program) == 4
-    assert [str(r) for r in doc.program.rules] == [
-        "in(a):f <- .", "out(a):f <- .", "in(a):f <- in(a):f.", "in(a):f <- out(a):f."]
+    # dedup keys on the literals, polarity included, on both constructors.
+    for lattice, bot in (("two", "f"), ("chain unit", "0")):
+        rules = [f"in(a):{bot} <- .", f"out(a):{bot} <- .", f"in(a):{bot} <- in(a):{bot}.",
+                 f"in(a):{bot} <- out(a):{bot}.", f"out(a):{bot} <- ."]
+        program = parse(f"lattice {lattice}\nuniverse {{ a }}\nprogram {{\n"
+                        + "".join(f"  {r}\n" for r in rules) + "}\n").program
+        lat = program.lattice
+        built = Program(OLD, lat, ("a",), [
+            OldRule(head, tuple(body)) for head, *body in (
+                [AnnotatedRevisionAtom(RevisionAtom(pol, "a"), lat.bot) for pol in pols]
+                for pols in ([IN], [OUT], [IN, IN], [IN, OUT], [OUT]))])
+        for p in (program, built):
+            assert len(p) == 4
+            assert [str(r) for r in p.rules] == rules[:4]
+        assert program._literals == built._literals
+        assert program == built and hash(program) == hash(built)
 
 
 def _count_rule_builds(monkeypatch):
@@ -192,9 +202,7 @@ def _count_rule_builds(monkeypatch):
     return built
 
 
-def _finite_fixtures():
-    return [path for path in sorted(FIXTURES.glob("*.arp")) + sorted(FIXTURES.glob("kinds/*.arp"))
-            if parse(path.read_text(encoding="utf-8")).lattice.is_finite]
+FIXTURE_PATHS = sorted(FIXTURES.glob("*.arp")) + sorted(FIXTURES.glob("kinds/*.arp"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,9 +210,8 @@ def _finite_fixtures():
     ["revise", "--semantics", "both"],
 ], ids=lambda argv: argv[0])
 def test_engine_commands_build_no_rule_objects(monkeypatch, argv):
-    paths = _finite_fixtures()
     built = _count_rule_builds(monkeypatch)
-    for path in paths:
+    for path in FIXTURE_PATHS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main([argv[0], str(path), *argv[1:], "--format", "json"]) in (0, 1, 2)
     assert built == []
@@ -221,6 +228,19 @@ def test_rewriting_commands_build_each_rule_once(monkeypatch, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main([argv[0], str(path), *argv[1:]]) == 0
     assert len(built) == rules
+
+
+def test_length_equality_hash_and_union_build_no_rule_objects(monkeypatch):
+    built = _count_rule_builds(monkeypatch)
+    for path in FIXTURE_PATHS:
+        text = path.read_text(encoding="utf-8")
+        program, again = parse(text).program, parse(text).program
+        assert program != again  # each parse makes its own lattice handle
+        union = program + program
+        assert union == program and hash(union) == hash(program)
+        assert len(union) == len(program) == len(program._literals)
+        assert union + union == union
+    assert built == []
 
 
 def test_rules_are_built_once_on_first_read(monkeypatch):

@@ -242,3 +242,6 @@ def test_program_union():
     p1 = old_program(lat, ("a",), [(("in", "a", {"p"}), [])])
     p2 = old_program(lat, ("a",), [(("out", "a", {"q"}), [])])
     assert (p1 + p2).rules == p1.rules + p2.rules
+    # A rule on both sides is kept once, where it first stands.
+    p3 = old_program(lat, ("a",), [(("out", "a", {"q"}), []), (("in", "a", {"p"}), [])])
+    assert (p1 + p2 + p3).rules == (p2 + p1 + p3).rules[::-1] == p1.rules + p2.rules
