@@ -11,7 +11,7 @@ special case of swapping exactly where two encoded databases disagree.
 from __future__ import annotations
 
 from .lattice import LatticeError, LatticeMismatchError, PairValue, UnsupportedOperationError
-from .syntax import NEW, NewRule, Program
+from .syntax import NEW, Program
 from .valuation import PairValuation
 
 
@@ -171,11 +171,8 @@ class PairIso:
         if x.syntax != NEW:
             raise UnsupportedOperationError(
                 "isomorphisms act on pair-annotation programs; translate with tr1 first")
-        def conv(a):
-            return a.with_pair(self.map_for(a.atom)(a.pair))
-
-        rules = [NewRule(conv(r.head), tuple(conv(b) for b in r.body)) for r in x.rules]
-        return Program(NEW, x.lattice, x.universe, rules)
+        rules = [[(a, self.map_for(a)(pv), None) for a, pv, _ in lits] for lits in x._literals]
+        return Program._parsed(NEW, x.lattice, x.universe, rules)
 
 
 def preserves_conflation(iso: PairIso) -> bool:

@@ -2,20 +2,22 @@
 
 Two rule syntaxes coexist.  Revision-atom rules annotate in(a)/out(a) with
 single lattice elements; pair-annotation rules annotate atoms directly with
-evidence pairs.  Both annotated-atom classes expose the one encoding that
-relates them: ``in(a):x`` is the pair ``<x, bot>`` on ``a`` and
-``out(a):x`` the pair ``<bot, x>``.  Every consumer reads ``atom`` and
-``pair`` and rewrites an annotation through ``with_pair``, and the
-engine's pair codes of a program's literals are encoded here too
-(``_encode_rules``), so no other module maps a polarity to a side.
-Structural transformations connect the two syntaxes and embed
-unannotated revision rules over the two-valued lattice.
+evidence pairs.  One encoding relates them: ``in(a):x`` is the pair ``<x,
+bot>`` on ``a`` and ``out(a):x`` the pair ``<bot, x>``.  A program holds
+its rules as literal tuples, and everything that maps a polarity to a side
+does so here, so no other module does: the engine's pair codes
+(``_encode_rules``), the translations ``tr1`` and ``tr2``, which map
+literal tuples to literal tuples, and the annotated atoms' ``pair`` and
+``with_pair``, which the API's rule objects and the literal reducts read.
+The text of a rule is written by one formatter (``_rule_texts``), for
+rule objects and for the document writer alike.  Structural
+transformations connect the two syntaxes and embed unannotated revision
+rules over the two-valued lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain as _chain
 
 from .lattice import (
     Elem,
@@ -82,8 +84,13 @@ class AnnotatedRevisionAtom:
         side."""
         return AnnotatedRevisionAtom(self.ratom, pv.pos if self.ratom.polarity == IN else pv.neg)
 
+    @property
+    def literal(self):
+        """``(atom, annotation, polarity)``, as a program holds it."""
+        return self.ratom.atom, self.ann, self.ratom.polarity
+
     def __str__(self):
-        return f"{self.ratom}:{self.ann!r}"
+        return _literal_texts((self.literal,), {})[0]
 
 
 @dataclass(frozen=True)
@@ -100,17 +107,48 @@ class PairAnnotatedAtom:
     def with_pair(self, pv: PairValue) -> PairAnnotatedAtom:
         return PairAnnotatedAtom(self.atom, pv)
 
+    @property
+    def literal(self):
+        """``(atom, annotation, None)``, as a program holds it."""
+        return self.atom, self.ann, None
+
     def __str__(self):
-        return f"{self.atom}:<{self.ann.pos!r},{self.ann.neg!r}>"
+        return _literal_texts((self.literal,), {})[0]
+
+
+def _literal_texts(lits, texts):
+    """The text of each literal ``(atom, annotation, polarity)`` of
+    ``lits``: ``in(a):x`` or ``out(a):x`` with a polarity, ``a:<x,y>``
+    without.  ``texts`` holds the text of each annotation by object id, so
+    an annotation object is formatted once per ``texts``, which must not
+    outlive the annotations it names: the id of a freed object is
+    reused."""
+    out = []
+    for a, x, pol in lits:
+        t = texts.get(id(x))
+        if t is None:
+            t = texts[id(x)] = repr(x) if pol else f"<{x.pos!r},{x.neg!r}>"
+        out.append(f"{pol}({a}):{t}" if pol else f"{a}:{t}")
+    return out
+
+
+def _rule_texts(rules):
+    """The text ``head <- body.`` of each rule given by its literals, head
+    first, as ``str`` of its rule object reads; each distinct annotation
+    object is formatted once."""
+    texts = {}
+    out = []
+    for lits in rules:
+        parts = _literal_texts(lits, texts)
+        out.append(f"{parts[0]} <- {', '.join(parts[1:])}.")
+    return out
 
 
 class _RuleText:
     """The text form both rule syntaxes share: ``head <- body.``"""
 
     def __str__(self):
-        if not self.body:
-            return f"{self.head} <- ."
-        return f"{self.head} <- {', '.join(str(b) for b in self.body)}."
+        return _rule_texts(([a.literal for a in (self.head, *self.body)],))[0]
 
 
 @dataclass(frozen=True)
@@ -149,12 +187,17 @@ class Program:
     Both keep the first rule of each literal tuple: equal tuples are equal
     rules, and ``in(a):bot`` and ``out(a):bot`` stay apart.  Length,
     equality, hashing and ``+`` read the literals, the engine encodes them
-    on each call (``_encode_rules``), and ``rules`` is the constructor's
-    rule objects or, for a parsed program, built from the literals on its
-    first read.  Every slot is set by the constructors, and ``_rules`` is
-    only ever filled: building is deterministic and the tuple immutable,
-    so concurrent first reads may each build it, and every reader sees
-    equal rules.
+    on each call (``_encode_rules``), the rewrites (``tr1``, ``tr2``,
+    ``join_transform`` and ``PairIso.apply``) map them to the literals of
+    a new program through ``_parsed``, and the document writer writes them
+    (``_rule_texts``).  So no command line operation builds a rule object.
+    ``rules`` is the constructor's rule objects or, for a program built
+    through ``_parsed``, built from the literals on its first read, which
+    only the API's callers of ``rules``, ``tp_heads``, ``reduct``,
+    ``f_reduct`` and ``satisfies`` on a program make.  Every slot is set by
+    the constructors, and ``_rules`` is only ever filled: building is
+    deterministic and the tuple immutable, so concurrent first reads may
+    each build it, and every reader sees equal rules.
     """
 
     __slots__ = ("syntax", "lattice", "universe", "_rules", "_literals")
@@ -164,21 +207,20 @@ class Program:
             raise ValueError(f"syntax must be {OLD!r} or {NEW!r}, got {syntax!r}")
         universe = tuple(sorted(set(universe)))
         uset = set(universe)
-        old = syntax == OLD
-        want = OldRule if old else NewRule
+        want = OldRule if syntax == OLD else NewRule
         kept = {}
         for r in rules:
             if not isinstance(r, want):
                 raise TypeError(f"{syntax} program cannot hold a {type(r).__name__}")
             lits = []
             for a in (r.head, *r.body):
-                atom = a.atom
+                atom, ann, _ = lit = a.literal
                 if atom not in uset:
                     raise ValueError(f"atom {atom!r} not in the declared universe")
-                if a.ann.lattice is not lattice:
+                if ann.lattice is not lattice:
                     raise LatticeMismatchError(
                         f"annotation on {atom!r} comes from a different lattice")
-                lits.append((atom, a.ann, a.ratom.polarity if old else None))
+                lits.append(lit)
             kept.setdefault(tuple(lits), r)
         self.syntax = syntax
         self.lattice = lattice
@@ -208,7 +250,8 @@ class Program:
 
     @property
     def rules(self):
-        """The rule objects, built on the first read of a parsed program."""
+        """The rule objects, built on the first read for a program made
+        through ``_parsed``."""
         rules = self._rules
         if rules is None:
             syntax = self.syntax
@@ -264,45 +307,45 @@ def _encode_rules(codec, p):
     index = {a: k for k, a in enumerate(p.universe)}
     code = codec.pair if p.syntax == NEW else codec.encode
     shift = {None: 0, IN: 0, OUT: codec.width}
-    return [(index[ha], code(hx) << shift[hp],
-             tuple([(index[a], code(x) << shift[pol]) for a, x, pol in body]))
-            for (ha, hx, hp), *body in p._literals]
+    out = []
+    for lits in p._literals:
+        ha, hx, hp = lits[0]
+        out.append((index[ha], code(hx) << shift[hp],
+                    tuple([(index[a], code(x) << shift[pol]) for a, x, pol in lits[1:]])))
+    return out
 
 
 def join_transform(p: Program) -> Program:
     """Merge repeated body occurrences of the same revision atom into a
-    single occurrence annotated with the join of the merged annotations."""
+    single occurrence annotated with the join of the merged annotations,
+    in the order the revision atoms first occur."""
     if p.syntax != OLD:
         raise UnsupportedOperationError("join transformation applies to revision-atom rules")
-    out = []
-    for r in p.rules:
+    rules = []
+    for lits in p._literals:
         merged = {}
-        for a in r.body:
-            if a.ratom in merged:
-                merged[a.ratom] = merged[a.ratom] | a.ann
-            else:
-                merged[a.ratom] = a.ann
-        body = tuple(AnnotatedRevisionAtom(l, ann) for l, ann in merged.items())
-        out.append(OldRule(r.head, body))
-    return Program(OLD, p.lattice, p.universe, out)
+        for a, x, pol in lits[1:]:
+            key = a, pol
+            merged[key] = merged[key] | x if key in merged else x
+        rules.append((lits[0], *[(a, x, pol) for (a, pol), x in merged.items()]))
+    return Program._parsed(OLD, p.lattice, p.universe, rules)
 
 
 def tr1(p: Program) -> Program:
-    """Translate revision-atom rules to pair-annotation rules, padding the
-    unused side of every annotation with bottom."""
+    """Translate revision-atom rules to pair-annotation rules: ``in(a):x``
+    becomes ``a:<x, bot>`` and ``out(a):x`` becomes ``a:<bot, x>``."""
     if p.syntax != OLD:
         raise UnsupportedOperationError("tr1 expects a revision-atom program")
-
-    def conv(a: AnnotatedRevisionAtom) -> PairAnnotatedAtom:
-        return PairAnnotatedAtom(a.atom, a.pair)
-
-    rules = [NewRule(conv(r.head), tuple(conv(b) for b in r.body)) for r in p.rules]
-    return Program(NEW, p.lattice, p.universe, rules)
+    bot = p.lattice.bot
+    rules = [[(a, PairValue(x, bot) if pol == IN else PairValue(bot, x), None)
+              for a, x, pol in lits] for lits in p._literals]
+    return Program._parsed(NEW, p.lattice, p.universe, rules)
 
 
 def tr2(p: Program) -> Program:
     """Translate each pair-annotation rule into an in-rule and an out-rule
-    with identical bodies.
+    with identical bodies: ``a:<x, y>`` becomes ``in(a):x, out(a):y`` in a
+    body, and a head ``a:<x, y>`` the heads ``in(a):x`` and ``out(a):y``.
 
     The out-headed companion is emitted even when its annotation is bottom;
     such a rule is semantically inert and keeping it makes the translation
@@ -310,19 +353,14 @@ def tr2(p: Program) -> Program:
     """
     if p.syntax != NEW:
         raise UnsupportedOperationError("tr2 expects a pair-annotation program")
-
-    def conv_body(atoms):
-        return tuple(_chain.from_iterable(
-            (AnnotatedRevisionAtom(rin(a.atom), a.ann.pos),
-             AnnotatedRevisionAtom(rout(a.atom), a.ann.neg))
-            for a in atoms))
-
     rules = []
-    for r in p.rules:
-        body = conv_body(r.body)
-        rules.append(OldRule(AnnotatedRevisionAtom(rin(r.head.atom), r.head.ann.pos), body))
-        rules.append(OldRule(AnnotatedRevisionAtom(rout(r.head.atom), r.head.ann.neg), body))
-    return Program(OLD, p.lattice, p.universe, rules)
+    for lits in p._literals:
+        body = []
+        for a, pv, _ in lits[1:]:
+            body += (a, pv.pos, IN), (a, pv.neg, OUT)
+        a, pv, _ = lits[0]
+        rules += ((a, pv.pos, IN), *body), ((a, pv.neg, OUT), *body)
+    return Program._parsed(OLD, p.lattice, p.universe, rules)
 
 
 def encode_classic(rules, db, universe):

@@ -42,9 +42,12 @@ and copies that differ only in blanks and comments share one value.
 
 A program block builds no rule objects.  Each rule is kept as a list of
 literals ``(atom, annotation, polarity)``, and ``Program._parsed`` takes
-the lists without checking them again, as the program's one rule form;
-the rule objects are built on the first read of ``rules``.  A valuation
-block goes to ``PairValuation._parsed`` the same way.
+the lists without checking them again, as the program's one rule form.
+A valuation block goes to ``PairValuation._parsed`` the same way.  The
+writers build no rule objects either: ``serialize_document`` and
+``document_to_json`` write a program's rules from its literals with the
+formatter that ``str`` of a rule object uses (``syntax._rule_texts``),
+which formats each distinct annotation object once per call.
 
 ``_json_text`` writes every JSON report, byte for byte what
 ``json.dumps(obj, indent=2)`` writes, with one ``join`` per list of plain
@@ -74,7 +77,7 @@ from .lattice import (
     TwoLattice,
     UnitChain,
 )
-from .syntax import IN, NEW, OLD, OUT, Program
+from .syntax import IN, NEW, OLD, OUT, Program, _rule_texts
 from .valuation import PairValuation
 
 
@@ -858,8 +861,8 @@ def serialize_document(doc: Document) -> str:
              f"syntax {doc.syntax}",
              "universe { " + ", ".join(doc.universe) + " }",
              ""]
-    body = "\n".join(f"  {r}" for r in doc.program.rules)
-    parts.append("program {\n" + (body + "\n" if body else "") + "}")
+    body = "".join([f"  {r}\n" for r in _rule_texts(doc.program._literals)])
+    parts.append("program {\n" + body + "}")
     if doc.init is not None:
         parts.append("")
         parts.append(_valuation_block("init", doc.init))
@@ -990,7 +993,7 @@ def document_to_json(doc: Document) -> dict:
         "lattice": _lattice_decl_text(doc.lattice),
         "syntax": doc.syntax,
         "universe": list(doc.universe),
-        "rules": [str(r) for r in doc.program.rules],
+        "rules": _rule_texts(doc.program._literals),
     }
     if doc.init is not None:
         out["init"] = valuation_to_json(doc.init)

@@ -2,9 +2,10 @@
 random program/valuation generators, enumeration shortcuts, the
 brute-force enumeration oracle with its literal justification check, the
 exhaustive lattice-axiom oracle on declarations, the bound-table and
-pair-order oracles, and the character-by-character lexer and full
+pair-order oracles, the character-by-character lexer and full
 pair-space difference that the library's regex lexer and least-change
-fixpoint are compared against."""
+fixpoint are compared against, and the rule-object forms of the
+rewrites that the library performs on literals."""
 
 import random
 from fractions import Fraction
@@ -682,3 +683,52 @@ def oracle_diff(R, B):
                 f"difference at atom {a!r} falls outside the supported chain fragment")
         out[a] = m
     return PairValuation(lat, out)
+
+
+def oracle_tr1(p):
+    """``tr1`` on rule objects: each revision atom becomes its pair."""
+    def conv(a):
+        return PairAnnotatedAtom(a.atom, a.pair)
+
+    rules = [NewRule(conv(r.head), tuple(conv(b) for b in r.body)) for r in p.rules]
+    return Program(NEW, p.lattice, p.universe, rules)
+
+
+def oracle_tr2(p):
+    """``tr2`` on rule objects: an in-rule and an out-rule per pair rule,
+    both with the body in which every pair atom becomes its in and out
+    atoms."""
+    def conv_body(atoms):
+        return tuple(x for a in atoms for x in (
+            AnnotatedRevisionAtom(rin(a.atom), a.ann.pos),
+            AnnotatedRevisionAtom(rout(a.atom), a.ann.neg)))
+
+    rules = []
+    for r in p.rules:
+        body = conv_body(r.body)
+        rules.append(OldRule(AnnotatedRevisionAtom(rin(r.head.atom), r.head.ann.pos), body))
+        rules.append(OldRule(AnnotatedRevisionAtom(rout(r.head.atom), r.head.ann.neg), body))
+    return Program(OLD, p.lattice, p.universe, rules)
+
+
+def oracle_apply_iso(iso, p):
+    """``apply_iso`` on a pair program's rule objects: every atom's pair
+    mapped by its atom's map."""
+    def conv(a):
+        return a.with_pair(iso.map_for(a.atom)(a.pair))
+
+    rules = [NewRule(conv(r.head), tuple(conv(b) for b in r.body)) for r in p.rules]
+    return Program(NEW, p.lattice, p.universe, rules)
+
+
+def oracle_join_transform(p):
+    """``join_transform`` on rule objects: body occurrences of one revision
+    atom merged into its first one, annotated with their join."""
+    out = []
+    for r in p.rules:
+        merged = {}
+        for a in r.body:
+            merged[a.ratom] = merged[a.ratom] | a.ann if a.ratom in merged else a.ann
+        body = tuple(AnnotatedRevisionAtom(l, ann) for l, ann in merged.items())
+        out.append(OldRule(r.head, body))
+    return Program(OLD, p.lattice, p.universe, out)
