@@ -22,23 +22,31 @@ The parser is a cursor over the text; no token list is built.  A
 recursive-descent reader lexes one token at the cursor at a time, with one
 loop for every ``{ item, ... }`` list and one for every ``< x, y >`` pair.
 The bulk of a document is read a construct at a time instead: each rule
-literal with the ``<-``, ``,`` or ``.`` after it, each valuation entry
-``atom = <x, y>.``, and each label list or set literal is one match of a
-compiled pattern, which allows blanks but no comment inside.  When a
-pattern does not match at the cursor, or what it matched does not check
-(an undeclared atom, a repeated name), the token-wise reads take over at
-the same offset: they read what the patterns leave out, such as a comment
-inside a pair, and raise the located error.  An error's line and column
-are those of the cursor's offset.  Before any error is raised the whole
-text is checked for a character that starts no token, and the first such
-character is reported instead.
+literal with the ``<-``, ``,`` or ``.`` after it (a fact's ``<- .``
+whole), each valuation entry ``atom = <x, y>.``, each label list or set
+literal, a chain's level list ``[a < b < ...]``, a powerset's complement
+table and the body of a custom lattice, with its ``order`` and
+``complement`` blocks, is one match of a compiled pattern, which allows
+blanks but no comment inside.  A document without comments inside those constructs is
+read without token-wise lexing: the cursor lexes only the words of the
+top-level declarations and the braces of the program and valuation
+blocks.  When a pattern does not match at the cursor, or what it matched
+does not check (an undeclared atom, a repeated name or key, a name that
+is not an identifier), the token-wise reads take over at the same offset:
+they read what the patterns leave out, such as a comment inside a pair,
+and raise the located error.  An error's line and column are those of the
+cursor's offset.  Before any error is raised the whole text is checked
+for a character that starts no token, and the first such character is
+reported instead.
 
 Each parser keeps a memo from the text of a ``< x, y >`` pair, of a ``{
 ... }`` set literal, of a numeral (``n`` or ``n / d``) or of an element
 name to the value it gave, under the text as written and under the text
 with blanks and comments removed: an annotation text that repeats across
-a document is read once, token-wise at the offset where it first stands,
-and copies that differ only in blanks and comments share one value.
+a document is read once, from the text that a pattern matched where it
+first stands, and copies that differ only in blanks and comments share
+one value.  Where that text is not an element of the lattice it is read
+token-wise at its offset, which raises the located error.
 
 A program block builds no rule objects.  Each rule is kept as a list of
 literals ``(atom, annotation, polarity)``, and ``Program._parsed`` takes
@@ -130,18 +138,37 @@ _SYMBOLS = frozenset(["<-", "->", *"{}[]()<>,:;.=*/"])
 # number is not followed by more digits or by ``.digits``.
 _B = r"[ \t\r\n]*"
 _NUM = rf"\d+(?:\.\d+(?!\d)|(?!\d|\.\d)(?:{_B}/{_B}\d+(?!\d|\.\d))?)"
-# ``{ name, ... }``: a name is followed by a comma or by the closing brace.
-_SET = rf"\{{{_B}(?:{_ID}{_B}(?:,{_B}|(?=\}})))*\}}"
+
+
+def _braces(item):
+    """``{ item, ... }``: an item is followed by a comma or by the closing
+    brace."""
+    return rf"\{{{_B}(?:{item}{_B}(?:,{_B}|(?=\}})))*\}}"
+
+
+_SET = _braces(_ID)
 _ELEM = rf"{_SET}|{_NUM}|{_ID}"
 _PAIR = rf"(<{_B}({_ELEM}){_B},{_B}({_ELEM}){_B}>)"
+# The token after a literal: ``<-``, with the ``.`` of an empty body after
+# it, or ``,`` or ``.``.
+_AFTER = rf"(<-(?:{_B}\.)?|[,.])"
 # Groups: polarity, atom, annotation, the token after the literal.
 _OLD_LITERAL = re.compile(
-    rf"{_SKIP}(in|out){_B}\({_B}({_ID}){_B}\){_B}:{_B}({_ELEM}){_B}(<-|[,.])")
+    rf"{_SKIP}(in|out){_B}\({_B}({_ID}){_B}\){_B}:{_B}({_ELEM}){_B}{_AFTER}")
 # Groups: atom, pair, its two elements, the token after the literal.
-_NEW_LITERAL = re.compile(rf"{_SKIP}({_ID}){_B}:{_B}{_PAIR}{_B}(<-|[,.])")
+_NEW_LITERAL = re.compile(rf"{_SKIP}({_ID}){_B}:{_B}{_PAIR}{_B}{_AFTER}")
 # Groups: atom, pair, its two elements.
 _ENTRY = re.compile(rf"{_SKIP}({_ID}){_B}={_B}{_PAIR}{_B}\.")
 _NAMES = re.compile(rf"{_SKIP}({_SET})")
+# Lattice declarations: a chain's ``[name < ...]``, a powerset's
+# ``complement { {...}: {...}, ... }``, and the body of a custom lattice,
+# whose groups are its elements, its order and its complement.
+_LEVELS = re.compile(rf"{_SKIP}(\[{_B}{_ID}(?:{_B}<{_B}{_ID})*{_B}\])")
+_TABLE = re.compile(rf"{_SKIP}complement{_B}({_braces(f'{_SET}{_B}:{_B}{_SET}')})")
+_CUSTOM = re.compile(
+    rf"{_SKIP}\{{{_B}elements{_B}({_SET}){_B}order{_B}({_braces(f'{_ID}{_B}<{_B}{_ID}')})"
+    rf"{_B}complement{_B}({_braces(f'{_ID}{_B}:{_B}{_ID}')}){_B}\}}")
+_SET_TEXT = re.compile(r"\{[^{}]*\}")
 
 
 def _is_ident(tok):
@@ -163,19 +190,28 @@ def _check_characters(text):
                           *_line_col(text, m.start(1)))
 
 
+def _idents(s):
+    """Whether every name in ``s``, text that a one-match pattern read, is
+    an identifier: ``_ID`` also matches a name that starts with a numeric
+    character that is not a digit."""
+    return s.isascii() or all(map(_is_ident, re.findall(_ID, s)))
+
+
+def _items(s, sep=","):
+    """The items of the bracketed list text ``s``, split at ``sep``, with
+    blanks removed; a trailing ``sep`` ends the list."""
+    s = "".join(s[1:-1].split()).rstrip(sep)
+    return s.split(sep) if s else []
+
+
 def _match_names(p):
     """The names of a ``{ name, ... }`` list at the cursor, read in one
     match, and the offset after it; None when the list does not match or
-    a name in it is not an identifier (it starts with a numeric character
-    that is not a digit)."""
+    a name in it is not an identifier."""
     m = _NAMES.match(p.text, p.pos)
-    if m is None:
+    if m is None or not _idents(m.group(1)):
         return None
-    s = m.group(1)
-    if not s.isascii() and not all(map(_is_ident, re.findall(_ID, s))):
-        return None
-    s = "".join(s[1:-1].split()).rstrip(",")
-    return s.split(",") if s else [], m.end()
+    return _items(m.group(1)), m.end()
 
 
 class _Parser:
@@ -326,62 +362,106 @@ def _parse_set_table(p):
     return table
 
 
+def _table(s):
+    """The complement table of a ``_TABLE`` match's text ``s``; None where a
+    name is not an identifier or a key repeats."""
+    sets = [frozenset(_items(x)) for x in _SET_TEXT.findall(s)]
+    table = dict(zip(sets[::2], sets[1::2]))
+    return table if _idents(s) and 2 * len(table) == len(sets) else None
+
+
+def _custom(m):
+    """``CustomLattice``'s arguments from a ``_CUSTOM`` match; None where a
+    name is not an identifier, or an element or a complement entry
+    repeats."""
+    names = _items(m.group(1))
+    pairs = [tuple(x.split("<")) for x in _items(m.group(2))]
+    entries = [x.split(":") for x in _items(m.group(3))]
+    comp = dict(entries)
+    if (_idents(m.string[m.start(1):m.end()]) and len(set(names)) == len(names)
+            and len(comp) == len(entries)):
+        return names, pairs, comp
+    return None
+
+
+def _read_custom(p):
+    """The body of a custom lattice, read token-wise: ``CustomLattice``'s
+    arguments."""
+    p.expect_sym("{")
+
+    def block(name, message):
+        k = p.where()
+        if p.expect_ident(f"'{name}'") != name:
+            p.sem_error(message, k)
+    block("elements", "custom lattice starts with an elements block")
+    names = _parse_label_list(p)
+    block("order", "expected an order block")
+
+    def cover():
+        a = p.expect_ident("an element name")
+        p.expect_sym("<")
+        return a, p.expect_ident("an element name")
+    pairs = _braced(p, cover)
+    block("complement", "expected a complement block")
+    comp = {}
+
+    def comp_entry():
+        k = p.where()
+        a = p.expect_ident("an element name")
+        p.expect_sym(":")
+        b = p.expect_ident("an element name")
+        if a in comp:
+            p.sem_error(f"duplicate complement entry for {a!r}", k)
+        comp[a] = b
+    _braced(p, comp_entry)
+    p.expect_sym("}")
+    return names, pairs, comp
+
+
 def _parse_lattice(p, decl_at):
     """The lattice after the ``lattice`` keyword at offset ``decl_at``.  An
     axiom failure is reported there; any other construction error at the
-    kind token."""
+    kind token.  A level list, a complement table and the body of a custom
+    lattice are each read in one match where they can be, and token-wise
+    otherwise."""
     at = p.where()
     t = p.expect_ident("a lattice kind")
     if t == "two":
         return TwoLattice()
     if t == "powerset":
         labels = _parse_label_list(p)
-        table = None
-        if p.at_ident("complement"):
+        m = _TABLE.match(p.text, p.pos)
+        table = m and _table(m.group(1))
+        if table is not None:
+            p.skip_to(m.end())
+        elif p.at_ident("complement"):
             p.advance()
             table = _parse_set_table(p)
         make, args = PowersetLattice, (labels, table)
     elif t == "chain":
-        if p.at_ident("unit"):
-            p.advance()
-            return UnitChain()
-        p.expect_sym("[")
-        names = [p.expect_ident("a level name")]
-        while p.at_sym("<"):
-            p.advance()
-            names.append(p.expect_ident("a level name"))
-        p.expect_sym("]")
+        m = _LEVELS.match(p.text, p.pos)
+        if m is not None and _idents(m.group(1)):
+            p.skip_to(m.end())
+            names = _items(m.group(1), "<")
+        else:
+            if p.at_ident("unit"):
+                p.advance()
+                return UnitChain()
+            p.expect_sym("[")
+            names = [p.expect_ident("a level name")]
+            while p.at_sym("<"):
+                p.advance()
+                names.append(p.expect_ident("a level name"))
+            p.expect_sym("]")
         make, args = LevelChain, (names,)
     elif t == "custom":
-        p.expect_sym("{")
-
-        def block(name, message):
-            k = p.where()
-            if p.expect_ident(f"'{name}'") != name:
-                p.sem_error(message, k)
-        block("elements", "custom lattice starts with an elements block")
-        names = _parse_label_list(p)
-        block("order", "expected an order block")
-
-        def cover():
-            a = p.expect_ident("an element name")
-            p.expect_sym("<")
-            return a, p.expect_ident("an element name")
-        pairs = _braced(p, cover)
-        block("complement", "expected a complement block")
-        comp = {}
-
-        def comp_entry():
-            k = p.where()
-            a = p.expect_ident("an element name")
-            p.expect_sym(":")
-            b = p.expect_ident("an element name")
-            if a in comp:
-                p.sem_error(f"duplicate complement entry for {a!r}", k)
-            comp[a] = b
-        _braced(p, comp_entry)
-        p.expect_sym("}")
-        make, args = CustomLattice, (names, pairs, comp)
+        m = _CUSTOM.match(p.text, p.pos)
+        args = m and _custom(m)
+        if args is None:
+            args = _read_custom(p)
+        else:
+            p.skip_to(m.end())
+        make = CustomLattice
     else:
         p.syntax_error(f"unknown lattice kind {t!r}", at)
     try:
@@ -462,14 +542,40 @@ def _parse_element(p, lattice):
     p.syntax_error(f"expected an annotation, found {t or 'end of input'!r}")
 
 
+def _element_of(lattice, s):
+    """The element of ``lattice`` that the annotation text ``s``, as a
+    one-match pattern read it, stands for; None where the token-wise read
+    decides instead: where ``s`` is not such an element, which that read
+    reports, or is a numeral longer than the interpreter's digit limit."""
+    try:
+        if s[0] == "{":
+            if lattice.kind == "powerset" and _idents(s):
+                return lattice.element(frozenset(_items(s)))
+        elif s[0].isdecimal():
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            if lattice.kind == "unit" and not (limit and len(s) > limit):
+                n, _, d = s.partition("/")
+                return lattice.element(
+                    Fraction(int(n), int(d)) if d else Fraction(n) if "." in n else int(n))
+        elif lattice.kind not in ("powerset", "unit"):
+            return lattice.element(s)
+    except (LatticeError, ZeroDivisionError):
+        pass
+    return None
+
+
 def _element(p, lattice, m, g):
     """The element of annotation group ``g`` of match ``m``: the memo's
-    value for its text, or on a miss the token-wise read at its offset."""
+    value for its text, or on a miss the value read from that text, or
+    where that does not give one the token-wise read at its offset."""
     s = m.group(g)
     x = p.memo.get(s)
     if x is None:
-        p.skip_to(m.start(g))
-        x = p.memo[s] = _parse_element(p, lattice)
+        x = _element_of(lattice, s)
+        if x is None:
+            p.skip_to(m.start(g))
+            x = _parse_element(p, lattice)
+        x = p.memo[s] = p.memo.setdefault("".join(s.split()), x)
     return x
 
 
@@ -542,12 +648,13 @@ def _parse_program(p, lattice, syntax, universe):
                 pol, atom, _, sep = m.groups()
             else:
                 (atom, _, _, _, sep), pol = m.groups(), None
-            # A head is followed by ``<-``, a body literal by ``,`` or ``.``.
-            if atom in uset and (sep == "<-") == (not lits):
+            # A head is followed by ``<-``, and a fact's by ``<- .``, a body
+            # literal by ``,`` or ``.``.
+            if atom in uset and (sep[0] == "<") == (not lits):
                 ann = _element(p, lattice, m, 3) if old else _pair(p, lattice, m, 2)
                 lits.append((atom, ann, pol))
                 p.skip_to(m.end())
-                if sep == ".":
+                if sep[-1] == ".":
                     rules.append(lits)
                     lits = []
                 continue

@@ -35,6 +35,7 @@ from annrev import (
     parse_iso,
     serialize,
 )
+from annrev import textio
 from annrev.textio import (
     _Parser,
     _check_characters,
@@ -427,6 +428,41 @@ def test_blanks_and_comments_between_tokens_change_nothing(seed):
                     == serialize(necessary_change(want.program)))
 
 
+_DECLARATION_WORDS = {"lattice", "two", "powerset", "chain", "unit", "custom", "syntax",
+                      "old", "new", "universe", "program", "init", "candidate", "iso"}
+
+
+def test_a_clean_document_is_read_without_token_wise_lexing(monkeypatch):
+    # Every lattice declaration, rule literal (a fact's ``<- .`` with it),
+    # valuation entry and first-seen annotation of a document without
+    # comments inside them is read in one match: the cursor lexes only the
+    # words that open and fill the top-level declarations, the braces of the
+    # program and valuation blocks, and the end of the text.  An iso block
+    # is read token-wise, so what follows its keyword is not counted.
+    lexed = []
+
+    class CountingNext:
+        def match(self, text, pos):
+            m = next_match(text, pos)
+            lexed.append(m.group(1) or "")
+            return m
+    next_match = textio._NEXT.match
+    monkeypatch.setattr(textio, "_NEXT", CountingNext())
+    fixtures = sorted(FIXTURES.glob("*.arp")) + sorted(FIXTURES.glob("kinds/*.arp"))
+    texts = [p.read_text(encoding="utf-8") for p in fixtures]
+    for seed in range(4):
+        texts += _generated_texts(random.Random(seed))
+    for text in texts:
+        lexed.clear()
+        parse(text)
+        if "iso" in lexed:
+            del lexed[lexed.index("iso") + 1:]
+        blocks = sum(t in ("program", "init", "candidate") for t in lexed)
+        assert set(lexed) <= _DECLARATION_WORDS | {"{", "}", ""}, (text, lexed)
+        assert lexed.count("{") == lexed.count("}") == blocks, (text, lexed)
+        assert lexed[-1] in ("", "iso")
+
+
 def test_a_comment_hides_the_rest_of_its_line():
     # A construct read in one match must not end a comment early and read
     # the rest of its line as tokens.
@@ -451,8 +487,10 @@ def test_a_comment_hides_the_rest_of_its_line():
 
 _LONG_GAPS = r'''
 import sys, time
-from annrev.textio import parse
+from annrev.textio import DslSyntaxError, parse
 gaps = [" " * 200, "\r\n\t " * 50, "   # note\r\n  " * 15]
+table = ", ".join(f"{{k{i}}}: {{k{i}}}" for i in range(5000))
+order = ", ".join(["lo < hi"] * 5000)
 t0 = time.perf_counter()
 for g in gaps:
     for text in [
@@ -461,18 +499,42 @@ for g in gaps:
             "lattice powerset { p, q }\nsyntax new\nuniverse { a }\nprogram {\n"
             "  a:<{p" + g + "}, {}> <-" + g + ".\n" + g + "}\ninit {" + g + "}\n",
             "lattice chain unit\nuniverse { a }\nprogram {\n  in(a):1" + g + "/ 2 <-"
-            + g + "in(a):1 / 2" + g + ",\n" + g + ".\n" + g + "}\n"]:
+            + g + "in(a):1 / 2" + g + ",\n" + g + ".\n" + g + "}\n",
+            "lattice chain [lo" + g + "<" + g + "mid <" + g + "hi" + g + "]" + g
+            + "universe { a }\nprogram { }\n",
+            "lattice powerset { p, q }" + g + "complement" + g + "{" + g + "{}:" + g
+            + "{p, q}," + g + "{p" + g + "}: {q}, {q}:" + g + "{p}, {p, q}: {}" + g + "}"
+            + g + "universe { a }\nprogram { }\n",
+            "lattice custom" + g + "{" + g + "elements" + g + "{ lo," + g + "hi }" + g
+            + "order" + g + "{" + g + "lo" + g + "<" + g + "hi," + g + "}" + g + "complement"
+            + g + "{ lo:" + g + "hi," + g + "hi" + g + ": lo" + g + "}" + g + "}" + g
+            + "universe { a }\nprogram { }\n"]:
         parse(text)
+# Unterminated 5,000-entry blocks: each pattern fails at the end of the
+# block, and the token-wise read reports where it ends.
+for text, message in [
+        ("lattice powerset { p } complement { " + table + "\nuniverse { a }\n",
+         "line 2, col 1: expected '}', found 'universe'"),
+        ("lattice custom {\n  elements { lo, hi }\n  order { " + order
+         + "\n  complement { lo: hi, hi: lo }\n}\n",
+         "line 4, col 3: expected '}', found 'complement'")]:
+    try:
+        parse(text)
+    except DslSyntaxError as e:
+        assert str(e) == message, str(e)
+    else:
+        raise AssertionError("parsed")
 print(time.perf_counter() - t0)
 '''
 
 
 def test_long_runs_of_blanks_and_comments_parse_in_linear_time():
-    # The one-match patterns are expected to fail before every ``}`` and
-    # before the ``.`` of an empty body; a pattern that could split a run of
-    # blanks several ways would backtrack through every split, 2**n of them
-    # for n blanks.  A child process, so that a regression fails the test
-    # instead of hanging it.
+    # The one-match patterns are expected to fail before every ``}``,
+    # before the ``.`` of an empty body after a comment, at a comment inside
+    # a lattice declaration and at the end of an unterminated block; a
+    # pattern that could split a run of blanks several ways would
+    # backtrack through every split, 2**n of them for n blanks.  A child
+    # process, so that a regression fails the test instead of hanging it.
     src = str(Path(parse.__code__.co_filename).parents[1])
     out = subprocess.run([sys.executable, "-c", _LONG_GAPS], capture_output=True, text=True,
                          timeout=60, check=True, env={**os.environ, "PYTHONPATH": src})
@@ -481,6 +543,8 @@ def test_long_runs_of_blanks_and_comments_parse_in_linear_time():
 
 _HEAD = "lattice two\nuniverse { a }\n"
 _UNIT = "lattice chain unit\nuniverse { a }\n"
+_EMPTY = "universe { a }\nprogram { }\n"
+_LO_HI = "lattice custom {\n  elements { lo, hi }\n"
 
 
 @pytest.mark.parametrize("text, error, message", [
@@ -517,11 +581,37 @@ _UNIT = "lattice chain unit\nuniverse { a }\n"
      "line 2, col 16: unexpected character '~'"),
     ("lattice two @\nuniverse { a } @\n", DslLexError,
      "line 1, col 13: unexpected character '@'"),
+    # Lattice declarations read in one match report what the token-wise
+    # reads report, with or without a comment inside the block.
+    ("lattice powerset { p } complement { {}: {p}, {p}: {}, { }: {p} }\n" + _EMPTY,
+     DslSemanticError, "line 1, col 55: duplicate complement entry"),
+    ("lattice powerset { p } complement { {}: {p}, # note\n  {p}: {}, { }: {p} }\n" + _EMPTY,
+     DslSemanticError, "line 2, col 12: duplicate complement entry"),
+    ("lattice chain [lo < mid < lo]\n" + _EMPTY, DslSemanticError,
+     "line 1, col 9: duplicate level names"),
+    ("lattice chain [lo < mid # note\n  < lo]\n" + _EMPTY, DslSemanticError,
+     "line 1, col 9: duplicate level names"),
+    ("lattice chain [lo < ² < hi]\n" + _EMPTY, DslLexError,
+     "line 1, col 21: unexpected character '²'"),
+    ("lattice chain [lo < # note\n  ² < hi]\n" + _EMPTY, DslLexError,
+     "line 2, col 3: unexpected character '²'"),
+    (_LO_HI + "  order { lo < mid }\n  complement { lo: hi, hi: lo }\n}\n" + _EMPTY,
+     DslSemanticError, "line 1, col 9: order pair ('lo', 'mid') uses unknown elements"),
+    (_LO_HI + "  order { # note\n    lo < mid }\n  complement { lo: hi, hi: lo }\n}\n"
+     + _EMPTY, DslSemanticError,
+     "line 1, col 9: order pair ('lo', 'mid') uses unknown elements"),
+    (_LO_HI + "  order { lo < hi }\n  complement { lo: hi, hi: lo, lo: lo }\n}\n" + _EMPTY,
+     DslSemanticError, "line 4, col 32: duplicate complement entry for 'lo'"),
+    (_LO_HI + "  order { lo < hi }\n  complement { lo: hi, hi: lo, # note\n    lo: lo }\n}\n"
+     + _EMPTY, DslSemanticError, "line 5, col 5: duplicate complement entry for 'lo'"),
 ], ids=["bad-char", "superscript", "superscript-after-digit", "vulgar-fraction",
         "expected-sym", "expected-sym-at-eof", "expected-ident", "lattice-kind",
         "denominator", "annotation", "polarity", "iso-expr", "declaration", "block",
         "eof-after-comment", "lex-error-after-syntax-error", "first-of-several-bad",
-        "same-bad-twice"])
+        "same-bad-twice", "table-duplicate-key", "table-duplicate-key-comment",
+        "level-duplicate", "level-duplicate-comment", "level-superscript",
+        "level-superscript-comment", "order-unknown-element", "order-unknown-element-comment",
+        "custom-complement-duplicate", "custom-complement-duplicate-comment"])
 def test_document_error_texts(text, error, message):
     with pytest.raises(error) as exc:
         parse(text)
