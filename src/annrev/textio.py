@@ -42,11 +42,13 @@ reported instead.
 Each parser keeps a memo from the text of a ``< x, y >`` pair, of a ``{
 ... }`` set literal, of a numeral (``n`` or ``n / d``) or of an element
 name to the value it gave, under the text as written and under the text
-with blanks and comments removed: an annotation text that repeats across
-a document is read once, from the text that a pattern matched where it
-first stands, and copies that differ only in blanks and comments share
-one value.  Where that text is not an element of the lattice it is read
-token-wise at its offset, which raises the located error.
+with blanks removed.  Only the one-match reads fill it: an annotation
+text that repeats across a document is read once, from the text that a
+pattern matched where it first stands, and copies that differ only in
+blanks share one value.  Where that text is not an element of the
+lattice it is read token-wise at its offset, which raises the located
+error.  A token-wise read neither looks in the memo nor writes to it: it
+builds its own value, equal to the one a match would give.
 
 A program block builds no rule objects.  Each rule is kept as a list of
 literals ``(atom, annotation, polarity)``, and ``Program._parsed`` takes
@@ -227,7 +229,7 @@ class _Parser:
         self.tok = None
         self.at = self.nxt = 0
         # Text of a pair, a set literal, a numeral or an element name, as
-        # written and with blanks and comments removed -> its value.
+        # written and with blanks removed -> its value.
         self.memo = {}
 
     def peek(self):
@@ -273,13 +275,6 @@ class _Parser:
         if not _is_ident(t):
             self.syntax_error(f"expected {what}, found {t or 'end of input'!r}")
         return self.advance()
-
-    def memoized(self, start, value):
-        """The memo's value for the text from offset ``start`` to the
-        cursor, which a token-wise read has just read as ``value``; the
-        first value read for that text is kept."""
-        key = "".join(_TOKEN.findall(self.text, start, self.pos))
-        return self.memo.setdefault(key, value)
 
     def syntax_error(self, msg, at=None):
         self._raise(DslSyntaxError, msg, at)
@@ -490,7 +485,8 @@ def _number(p, t, at, read):
     return read(t)
 
 
-def _read_number(p, lattice):
+def _read_number(p):
+    """A numeral, ``n``, ``n.m`` or ``n / d``, read token-wise: its value."""
     at = p.where()
     t = p.advance()
     if "." in t:
@@ -507,39 +503,35 @@ def _read_number(p, lattice):
                 p.sem_error("zero denominator")
             p.advance()
             value = Fraction(value, den)
-    try:
-        return lattice.element(value)
-    except LatticeError as e:
-        p.sem_error(str(e), at)
+    return value
 
 
 def _parse_element(p, lattice):
-    """One annotation, read token-wise."""
+    """One annotation, read token-wise: a set literal, a numeral or a name,
+    then the element it names.  A ``LatticeError`` is reported where the
+    annotation starts."""
     at = p.where()
     t = p.tok
     if t == "{":
         if lattice.kind != "powerset":
             p.sem_error("set annotations need a powerset lattice")
-        members = _parse_set_literal(p)
-        try:
-            return p.memoized(at, lattice.element(members))
-        except LatticeError as e:
-            p.sem_error(str(e), at)
-    if t[:1].isdecimal():
+        value = _parse_set_literal(p)
+    elif t[:1].isdecimal():
         if lattice.kind != "unit":
             p.sem_error("numeric annotations need the unit chain lattice")
-        return p.memoized(at, _read_number(p, lattice))
-    if _is_ident(t):
+        value = _read_number(p)
+    elif _is_ident(t):
         if lattice.kind == "powerset":
             p.sem_error("expected a label set in braces")
         if lattice.kind == "unit":
             p.sem_error("expected a rational between 0 and 1")
-        p.advance()
-        try:
-            return lattice.element(t)
-        except LatticeError as e:
-            p.sem_error(str(e), at)
-    p.syntax_error(f"expected an annotation, found {t or 'end of input'!r}")
+        value = p.advance()
+    else:
+        p.syntax_error(f"expected an annotation, found {t or 'end of input'!r}")
+    try:
+        return lattice.element(value)
+    except LatticeError as e:
+        p.sem_error(str(e), at)
 
 
 def _element_of(lattice, s):
@@ -601,13 +593,12 @@ def _expect_atom(p, uset):
 
 def _parse_pair(p, lattice):
     """``< x , y >``, read token-wise."""
-    at = p.where()
     p.expect_sym("<")
     x = _parse_element(p, lattice)
     p.expect_sym(",")
     y = _parse_element(p, lattice)
     p.expect_sym(">")
-    return p.memoized(at, PairValue(x, y))
+    return PairValue(x, y)
 
 
 def _read_literal(p, lattice, uset, old):
@@ -707,28 +698,26 @@ def _perm_map(p, lattice, pairs, at):
     """Pair map from a name permutation: powerset lattices permute labels,
     other finite kinds permute elements; unlisted names stay fixed.  Errors
     point at offset ``at``."""
-    if isinstance(lattice, PowersetLattice):
-        known = set(lattice.labels)
-        for a, b in pairs.items():
-            if a not in known or b not in known:
-                p.sem_error(f"perm mentions unknown label {(a if a not in known else b)!r}", at)
-        sigma = {l: pairs.get(l, l) for l in lattice.labels}
-        if set(sigma.values()) != known:
-            p.sem_error("perm is not a permutation of the labels", at)
-        perm = {
-            e: lattice.element(frozenset(sigma[l] for l in e.key))
-            for e in lattice.elements()}
-    elif lattice.is_finite:
-        names = {lattice.format_element(e): e for e in lattice.elements()}
-        for a, b in pairs.items():
-            if a not in names or b not in names:
-                p.sem_error(f"perm mentions unknown element {(a if a not in names else b)!r}", at)
-        sigma = {n: pairs.get(n, n) for n in names}
-        if set(sigma.values()) != set(names):
-            p.sem_error("perm is not a permutation of the elements", at)
-        perm = {e: names[sigma[n]] for n, e in names.items()}
-    else:
+    if not lattice.is_finite:
         p.sem_error("perm is not supported on the unit chain", at)
+    if isinstance(lattice, PowersetLattice):
+        what, names = "label", lattice.labels
+
+        def lift(e):
+            return lattice.element(frozenset(sigma[l] for l in e.key))
+    else:
+        what, names = "element", {lattice.format_element(e): e for e in lattice.elements()}
+
+        def lift(e):
+            return names[sigma[lattice.format_element(e)]]
+    known = set(names)
+    for a, b in pairs.items():
+        if a not in known or b not in known:
+            p.sem_error(f"perm mentions unknown {what} {(a if a not in known else b)!r}", at)
+    sigma = {n: pairs.get(n, n) for n in names}
+    if set(sigma.values()) != known:
+        p.sem_error(f"perm is not a permutation of the {what}s", at)
+    perm = {e: lift(e) for e in lattice.elements()}
     try:
         return PairMap.from_permutation(lattice, perm)
     except LatticeError as e:
@@ -806,6 +795,12 @@ def _parse_iso_block(p, lattice, universe, iso_at):
     return PairIso(lattice, maps, default if uncovered else None)
 
 
+# The top-level words, each with what it opens; a block needs the lattice
+# and the universe before it.
+_WORDS = {"lattice": "declaration", "syntax": "declaration", "universe": "declaration",
+          "program": "block", "init": "block", "candidate": "block", "iso": "block"}
+
+
 def parse(text: str) -> Document:
     """Parse and fully validate one document.
 
@@ -814,74 +809,44 @@ def parse(text: str) -> Document:
     lattice.  Errors carry the line and column of the offending token.
     """
     p = _Parser(text)
-    lattice = None
-    syntax = None
-    universe = None
-    program = None
-    init = None
-    candidate = None
-    iso = None
+    # Top-level word -> what it read.
+    got = {}
     while p.peek():
         at = p.at
         name = p.tok
         if not _is_ident(name):
             p.syntax_error(f"expected a declaration, found {name!r}")
+        if name not in _WORDS:
+            p.syntax_error(f"unknown block {name!r}")
+        if name in got:
+            p.sem_error(f"duplicate {name} {_WORDS[name]}")
+        if name == "syntax" and "program" in got:
+            p.sem_error("syntax declaration must precede the program")
+        lattice, universe = got.get("lattice"), got.get("universe")
+        if _WORDS[name] == "block" and (lattice is None or universe is None):
+            p.sem_error(f"{name} needs lattice and universe declarations first")
+        p.advance()
         if name == "lattice":
-            if lattice is not None:
-                p.sem_error("duplicate lattice declaration")
-            p.advance()
-            lattice = _parse_lattice(p, at)
+            got[name] = _parse_lattice(p, at)
         elif name == "syntax":
-            if syntax is not None:
-                p.sem_error("duplicate syntax declaration")
-            if program is not None:
-                p.sem_error("syntax declaration must precede the program")
-            p.advance()
             k = p.where()
             s = p.expect_ident("'old' or 'new'")
             if s not in (OLD, NEW):
                 p.sem_error(f"syntax must be 'old' or 'new', got {s!r}", k)
-            syntax = s
+            got[name] = s
         elif name == "universe":
-            if universe is not None:
-                p.sem_error("duplicate universe declaration")
-            p.advance()
-            universe = _parse_label_list(p)
+            got[name] = _parse_label_list(p)
         elif name == "program":
-            if program is not None:
-                p.sem_error("duplicate program block")
-            if lattice is None or universe is None:
-                p.sem_error("program needs lattice and universe declarations first")
-            p.advance()
-            program = _parse_program(p, lattice, syntax or OLD, universe)
-        elif name in ("init", "candidate"):
-            if lattice is None or universe is None:
-                p.sem_error(f"{name} needs lattice and universe declarations first")
-            if (init if name == "init" else candidate) is not None:
-                p.sem_error(f"duplicate {name} block")
-            p.advance()
-            v = _parse_valuation(p, lattice, universe)
-            if name == "init":
-                init = v
-            else:
-                candidate = v
+            got[name] = _parse_program(p, lattice, got.get("syntax", OLD), universe)
         elif name == "iso":
-            if iso is not None:
-                p.sem_error("duplicate iso block")
-            if lattice is None or universe is None:
-                p.sem_error("iso needs lattice and universe declarations first")
-            p.advance()
-            iso = _parse_iso_block(p, lattice, universe, at)
+            got[name] = _parse_iso_block(p, lattice, universe, at)
         else:
-            p.syntax_error(f"unknown block {name!r}")
-    if lattice is None:
-        raise DslSemanticError("missing lattice declaration")
-    if universe is None:
-        raise DslSemanticError("missing universe declaration")
-    if program is None:
-        raise DslSemanticError("missing program block")
-    return Document(lattice, syntax or OLD, tuple(sorted(universe)), program,
-                    init, candidate, iso)
+            got[name] = _parse_valuation(p, lattice, universe)
+    for name in ("lattice", "universe", "program"):
+        if name not in got:
+            raise DslSemanticError(f"missing {name} {_WORDS[name]}")
+    return Document(got["lattice"], got.get("syntax", OLD), tuple(sorted(got["universe"])),
+                    got["program"], got.get("init"), got.get("candidate"), got.get("iso"))
 
 
 def parse_iso(text: str, lattice, universe) -> PairIso:

@@ -4,8 +4,9 @@ brute-force enumeration oracle with its literal justification check, the
 exhaustive lattice-axiom oracle on declarations, the bound-table and
 pair-order oracles, the character-by-character lexer and full
 pair-space difference that the library's regex lexer and least-change
-fixpoint are compared against, and the rule-object forms of the
-rewrites that the library performs on literals."""
+fixpoint are compared against, the rule-object forms of the
+rewrites that the library performs on literals, and the per-label split of
+powerset programs into programs over ``two``."""
 
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from annrev import (
     IN,
     NEW,
     OLD,
+    OUT,
     AnnotatedRevisionAtom,
     CustomLattice,
     LatticeError,
@@ -33,6 +35,7 @@ from annrev import (
     RevisionAtom,
     RevisionOutcome,
     TValuation,
+    TwoLattice,
     UnsupportedOperationError,
     ValidationReport,
     apply_change,
@@ -732,3 +735,52 @@ def oracle_join_transform(p):
         body = tuple(AnnotatedRevisionAtom(l, ann) for l, ann in merged.items())
         out.append(OldRule(r.head, body))
     return Program(OLD, p.lattice, p.universe, out)
+
+
+def label_split(lat):
+    """The per-label split over ``lat``, a powerset whose complement is
+    ``S -> full - sigma(S)`` for a label involution ``sigma``: functions
+    that map a program and a valuation over ``lat`` to a program and a
+    valuation over one ``two`` handle.  Atom ``a_l`` carries
+    ``<[l in S], [sigma(l) in T]>`` of ``a``'s pair ``<S, T>``; a body
+    literal becomes the conjunction of its nonzero coordinates, and a head
+    one rule per nonzero coordinate, with the same body.  On each
+    coordinate the conflation of ``lat``'s pairs is that of ``two``."""
+    full = frozenset(lat.labels)
+    sigma = {}
+    for l in lat.labels:
+        (sigma[l],) = full - (~lat.element(frozenset([l]))).key
+    assert all((~e).key == full - {sigma[l] for l in e.key} for e in lat.elements())
+    two = TwoLattice()
+    bit = {False: two.bot, True: two.top}
+
+    def coordinates(a, pv):
+        """``(a_l, pair over two)`` for each label ``l``."""
+        return [(f"{a}_{l}", PairValue(bit[l in pv.pos.key], bit[sigma[l] in pv.neg.key]))
+                for l in lat.labels]
+
+    def literals(syntax, x):
+        a, pv = _head_pair(lat, x)
+        out = []
+        for atom, c in coordinates(a, pv):
+            if c.pos == two.top or c.neg == two.top:
+                if syntax == OLD:
+                    pol = IN if c.pos == two.top else OUT
+                    out.append(AnnotatedRevisionAtom(RevisionAtom(pol, atom), two.top))
+                else:
+                    out.append(PairAnnotatedAtom(atom, c))
+        return out
+
+    def split_program(p):
+        make = OldRule if p.syntax == OLD else NewRule
+        rules = []
+        for r in p.rules:
+            body = tuple(y for x in r.body for y in literals(p.syntax, x))
+            rules += [make(h, body) for h in literals(p.syntax, r.head)]
+        universe = [f"{a}_{l}" for a in p.universe for l in lat.labels]
+        return Program(p.syntax, two, universe, rules)
+
+    def split_valuation(v):
+        return PairValuation(two, dict(c for a, pv in v.items() for c in coordinates(a, pv)))
+
+    return split_program, split_valuation

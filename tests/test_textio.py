@@ -604,6 +604,59 @@ _LO_HI = "lattice custom {\n  elements { lo, hi }\n"
      DslSemanticError, "line 4, col 32: duplicate complement entry for 'lo'"),
     (_LO_HI + "  order { lo < hi }\n  complement { lo: hi, hi: lo, # note\n    lo: lo }\n}\n"
      + _EMPTY, DslSemanticError, "line 5, col 5: duplicate complement entry for 'lo'"),
+    # The checks that every top-level word shares.
+    ("lattice two\nsyntax old\nsyntax new\n", DslSemanticError,
+     "line 3, col 1: duplicate syntax declaration"),
+    (_HEAD + "universe { b }\n", DslSemanticError, "line 3, col 1: duplicate universe declaration"),
+    (_HEAD + "program { }\nprogram { }\n", DslSemanticError,
+     "line 4, col 1: duplicate program block"),
+    (_HEAD + "program { }\ncandidate { }\ncandidate { }\n", DslSemanticError,
+     "line 5, col 1: duplicate candidate block"),
+    (_HEAD + "program { }\niso { *: id; }\niso { *: id; }\n", DslSemanticError,
+     "line 5, col 1: duplicate iso block"),
+    (_HEAD + "program { }\nsyntax new\n", DslSemanticError,
+     "line 4, col 1: syntax declaration must precede the program"),
+    (_EMPTY, DslSemanticError, "line 2, col 1: program needs lattice and universe declarations first"),
+    ("lattice two\ninit { }\n", DslSemanticError,
+     "line 2, col 1: init needs lattice and universe declarations first"),
+    ("candidate { }\n", DslSemanticError,
+     "line 1, col 1: candidate needs lattice and universe declarations first"),
+    ("lattice two\niso { *: id; }\n", DslSemanticError,
+     "line 2, col 1: iso needs lattice and universe declarations first"),
+    ("universe { a }\n", DslSemanticError, "missing lattice declaration"),
+    ("lattice two\n", DslSemanticError, "missing universe declaration"),
+    (_HEAD, DslSemanticError, "missing program block"),
+    ("lattice two\nsyntax newer\n", DslSemanticError,
+     "line 2, col 8: syntax must be 'old' or 'new', got 'newer'"),
+    # Annotations of the wrong kind, and annotations that the token-wise
+    # reader reads because a comment stands inside their literal.
+    (_HEAD + "program { in(a):{p} <- . }\n", DslSemanticError,
+     "line 3, col 17: set annotations need a powerset lattice"),
+    (_HEAD + "program { in(a):1 <- . }\n", DslSemanticError,
+     "line 3, col 17: numeric annotations need the unit chain lattice"),
+    (_UNIT + "program { in(a):t <- . }\n", DslSemanticError,
+     "line 3, col 17: expected a rational between 0 and 1"),
+    ("lattice powerset { p }\nuniverse { a }\nprogram { in(a):{p, # note\n  z} <- . }\n",
+     DslSemanticError, "line 3, col 17: unknown labels ['z']"),
+    ("lattice chain [lo < hi]\nuniverse { a }\nprogram { in(a): # note\n  mid <- . }\n",
+     DslSemanticError, "line 4, col 3: unknown chain level 'mid'"),
+    (_UNIT + "program { in(a):3 # note\n  / 2 <- . }\n", DslSemanticError,
+     "line 3, col 17: chain value 3/2 outside [0, 1]"),
+    (_UNIT + "program { in(a):1 / # note\n  0 <- . }\n", DslSemanticError,
+     "line 4, col 3: zero denominator"),
+    # Permutations that do not give an isomorphism.
+    ("lattice powerset { p, q }\n" + _EMPTY + "iso { *: perm(p->r); }\n", DslSemanticError,
+     "line 4, col 10: perm mentions unknown label 'r'"),
+    ("lattice chain [lo < hi]\n" + _EMPTY + "iso { *: perm(lo->mid); }\n", DslSemanticError,
+     "line 4, col 10: perm mentions unknown element 'mid'"),
+    ("lattice powerset { p, q }\n" + _EMPTY + "iso { *: perm(p->q); }\n", DslSemanticError,
+     "line 4, col 10: perm is not a permutation of the labels"),
+    ("lattice chain [lo < hi]\n" + _EMPTY + "iso { *: perm(lo->hi); }\n", DslSemanticError,
+     "line 4, col 10: perm is not a permutation of the elements"),
+    (_UNIT + "program { }\niso { *: perm(a->b); }\n", DslSemanticError,
+     "line 4, col 10: perm is not supported on the unit chain"),
+    ("lattice chain [lo < mid < hi]\n" + _EMPTY + "iso { *: perm(lo->mid, mid->lo); }\n",
+     DslSemanticError, "line 4, col 10: permutation does not preserve the order at lo, mid"),
 ], ids=["bad-char", "superscript", "superscript-after-digit", "vulgar-fraction",
         "expected-sym", "expected-sym-at-eof", "expected-ident", "lattice-kind",
         "denominator", "annotation", "polarity", "iso-expr", "declaration", "block",
@@ -611,7 +664,14 @@ _LO_HI = "lattice custom {\n  elements { lo, hi }\n"
         "same-bad-twice", "table-duplicate-key", "table-duplicate-key-comment",
         "level-duplicate", "level-duplicate-comment", "level-superscript",
         "level-superscript-comment", "order-unknown-element", "order-unknown-element-comment",
-        "custom-complement-duplicate", "custom-complement-duplicate-comment"])
+        "custom-complement-duplicate", "custom-complement-duplicate-comment",
+        "duplicate-syntax", "duplicate-universe", "duplicate-program", "duplicate-candidate",
+        "duplicate-iso", "syntax-after-program", "program-first", "init-first",
+        "candidate-first", "iso-first", "missing-lattice", "missing-universe",
+        "missing-program", "syntax-word", "set-annotation", "numeric-annotation",
+        "rational", "unknown-labels-comment", "chain-level-comment", "chain-value-comment",
+        "zero-denominator-comment", "perm-unknown-label", "perm-unknown-element",
+        "perm-labels", "perm-elements", "perm-unit", "perm-order"])
 def test_document_error_texts(text, error, message):
     with pytest.raises(error) as exc:
         parse(text)
